@@ -1,8 +1,8 @@
 // Closed-loop load generator for the plan-compilation service (DESIGN.md
 // §11): an in-process svc::Server on a Unix socket, N client threads each
-// driving one connection as fast as the server answers, warm plan cache.
+// driving one connection as fast as the server answers, warm plan store.
 // Measures sustained throughput, client-observed latency percentiles, the
-// shed (overloaded) rate, and the plan-cache hit rate — and checks the
+// shed (overloaded) rate, and the plan-store hit rate — and checks the
 // service's core contract: every request sent gets an answer (unanswered
 // must be zero, even at saturation).
 //
@@ -38,10 +38,9 @@ using util::i64;
 
 namespace {
 
-/// The steady-state workload: small enough that a warm-cache compile is
-/// cheap, constant so every request shares one problem key (the cache and
-/// single-flight paths both stay hot, as a fleet of identical tuning
-/// clients would keep them).
+/// The steady-state workload: one constant problem, so every request shares
+/// one problem key (the plan-store and single-flight paths both stay hot,
+/// as a fleet of identical tuning clients would keep them).
 svc::CompileParams steady_workload() {
   svc::CompileParams p;
   p.name = "steady";
@@ -118,7 +117,7 @@ int main(int argc, char** argv) {
   svc::Server server(cfg);
   server.start();
 
-  // Warm the plan cache (and fault in every lazy path) before the clock.
+  // Warm the plan store (and fault in every lazy path) before the clock.
   {
     svc::Client warm = svc::Client::connect(cfg.address);
     const svc::Response resp = warm.compile(steady_workload());
@@ -201,11 +200,10 @@ int main(int argc, char** argv) {
 
   server.drain();
   const svc::ServerStats stats = server.stats();
-  const std::uint64_t cache_total = stats.cache_hits + stats.cache_misses;
-  const double hit_rate =
-      cache_total ? static_cast<double>(stats.cache_hits) /
-                        static_cast<double>(cache_total)
-                  : 0.0;
+  const std::uint64_t lookups = stats.store_hits + stats.store_misses;
+  const double hit_rate = lookups ? static_cast<double>(stats.store_hits) /
+                                        static_cast<double>(lookups)
+                                  : 0.0;
 
   std::cout << "  throughput  " << util::fmt_fixed(throughput, 1)
             << " req/s  (" << total.answered << " answered in "
@@ -216,8 +214,8 @@ int main(int argc, char** argv) {
             << total.overloaded << " (shed rate "
             << util::fmt_fixed(100.0 * shed_rate, 2) << "%), other "
             << total.other << "\n"
-            << "  plan cache  " << util::fmt_fixed(100.0 * hit_rate, 2)
-            << "% hit rate  (" << stats.cache_hits << "/" << cache_total
+            << "  plan store  " << util::fmt_fixed(100.0 * hit_rate, 2)
+            << "% hit rate  (" << stats.store_hits << "/" << lookups
             << ")\n"
             << "  batching    " << stats.batched
             << " single-flight follower(s) over " << stats.compiles
@@ -244,7 +242,7 @@ int main(int argc, char** argv) {
       .num("latency_p50_ms", p50 / 1e6)
       .num("latency_p99_ms", p99 / 1e6)
       .num("shed_rate", shed_rate)
-      .num("cache_hit_rate", hit_rate);
+      .num("store_hit_rate", hit_rate);
   line.write(std::cout);
 
   if (json) {
@@ -264,7 +262,7 @@ int main(int argc, char** argv) {
     doc.set("latency_p50_ms", Json::number(p50 / 1e6));
     doc.set("latency_p99_ms", Json::number(p99 / 1e6));
     doc.set("shed_rate", Json::number(shed_rate));
-    doc.set("cache_hit_rate", Json::number(hit_rate));
+    doc.set("store_hit_rate", Json::number(hit_rate));
     Json srv = Json::object();
     srv.set("connections", Json::integer(static_cast<i64>(stats.connections)));
     srv.set("requests", Json::integer(static_cast<i64>(stats.requests)));
@@ -275,9 +273,9 @@ int main(int argc, char** argv) {
     srv.set("rejected", Json::integer(static_cast<i64>(stats.rejected)));
     srv.set("batched", Json::integer(static_cast<i64>(stats.batched)));
     srv.set("compiles", Json::integer(static_cast<i64>(stats.compiles)));
-    srv.set("cache_hits", Json::integer(static_cast<i64>(stats.cache_hits)));
-    srv.set("cache_misses",
-            Json::integer(static_cast<i64>(stats.cache_misses)));
+    srv.set("store_hits", Json::integer(static_cast<i64>(stats.store_hits)));
+    srv.set("store_misses",
+            Json::integer(static_cast<i64>(stats.store_misses)));
     srv.set("max_queue_depth",
             Json::integer(static_cast<i64>(stats.max_queue_depth)));
     doc.set("server", std::move(srv));

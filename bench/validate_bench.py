@@ -135,7 +135,7 @@ def check_svc_load(doc):
     for key in ("address", "workers", "queue_capacity", "client_threads",
                 "wall_seconds", "requests", "responses", "unanswered",
                 "ok", "overloaded", "throughput_rps", "latency_p50_ms",
-                "latency_p99_ms", "shed_rate", "cache_hit_rate", "server"):
+                "latency_p99_ms", "shed_rate", "store_hit_rate", "server"):
         require(key in doc, f"{key} missing")
     require(doc["wall_seconds"] > 0, "non-positive wall time")
     require(doc["requests"] > 0, "empty measurement")
@@ -148,14 +148,14 @@ def check_svc_load(doc):
     require(0 <= doc["latency_p50_ms"] <= doc["latency_p99_ms"],
             "latency percentiles out of order")
     require(0.0 <= doc["shed_rate"] <= 1.0, "shed_rate out of [0, 1]")
-    require(0.0 <= doc["cache_hit_rate"] <= 1.0,
-            "cache_hit_rate out of [0, 1]")
+    require(0.0 <= doc["store_hit_rate"] <= 1.0,
+            "store_hit_rate out of [0, 1]")
 
     srv = doc["server"]
     require(isinstance(srv, dict), "server must be an object")
     for key in ("connections", "requests", "completed", "shed", "timed_out",
-                "failed", "rejected", "batched", "compiles", "cache_hits",
-                "cache_misses", "max_queue_depth"):
+                "failed", "rejected", "batched", "compiles", "store_hits",
+                "store_misses", "max_queue_depth"):
         require(key in srv, f"server.{key} missing")
     # Outcome accounting: every server-side request is answered exactly once
     # (quota_denied joined the vocabulary with the admission-quota tier;
@@ -165,17 +165,19 @@ def check_svc_load(doc):
             srv.get("quota_denied", 0),
             "server outcome counters do not sum to requests")
     require(srv["compiles"] >= 1, "no compiles executed")
-    require(srv["cache_hits"] + srv["cache_misses"] >= srv["compiles"],
-            "cache counters inconsistent with compiles")
+    # The plan store is the server's only response cache: every store miss
+    # is followed by exactly one compile, and nothing else compiles.
+    require(srv["compiles"] == srv["store_misses"],
+            "compiles != store_misses")
 
     print("BENCH_svc.json schema OK:",
           f"{doc['responses']} responses,",
           f"{doc['throughput_rps']:.0f} req/s,",
-          f"{100.0 * doc['cache_hit_rate']:.1f}% cache hits")
+          f"{100.0 * doc['store_hit_rate']:.1f}% store hits")
 
 
 # Rehydrated serving is the same in-memory read path as warm serving (one
-# map lookup instead of a plan-cache hit), so a healthy rehydrated tier
+# plan-store map lookup either way), so a healthy rehydrated tier
 # lands near warm throughput; the floor leaves slack for noisy hosts.
 STORE_REHYDRATED_MIN_RATIO = 0.5
 

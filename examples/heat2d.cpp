@@ -17,7 +17,7 @@
 #include "tilo/core/analytic.hpp"
 #include "tilo/core/predict.hpp"
 #include "tilo/core/problem.hpp"
-#include "tilo/trace/stats.hpp"
+#include "tilo/obs/report.hpp"
 #include "tilo/util/csv.hpp"
 
 namespace {
@@ -84,19 +84,17 @@ int main() {
   for (auto kind : {sched::ScheduleKind::kNonOverlap,
                     sched::ScheduleKind::kOverlap}) {
     const exec::TilePlan plan = problem.plan(V, kind);
-    trace::Timeline tl;
+    obs::ReportSink report;
     exec::RunOptions opts;
-    opts.sink = &tl;
+    opts.sink = &report;
     const exec::RunResult r =
         exec::run_plan(nest, plan, problem.machine, opts);
-    const trace::RunStats stats = trace::summarize(tl);
+    const double compute_util = report.report().mean_compute_utilization;
     table.add_row({kind == sched::ScheduleKind::kOverlap
                        ? "overlapping"
                        : "non-overlapping",
                    util::fmt_seconds(r.seconds),
-                   util::fmt_fixed(
-                       100.0 * stats.mean_compute_utilization, 1) +
-                       " %"});
+                   util::fmt_fixed(100.0 * compute_util, 1) + " %"});
   }
   table.write_text(std::cout);
 

@@ -737,8 +737,8 @@ int run_scenario(const CliOptions& cli,
     return kExitBadInput;
   }
 
-  // One multi-problem cache serves every workload of the batch.
-  core::PlanCache cache(core::PlanCache::Scope::kMultiProblem);
+  // One plan cache serves every workload of the batch.
+  core::PlanCache cache;
   obs::ChromeTraceSink chrome;
   obs::ReportSink report;
   obs::MultiSink fan;
@@ -826,7 +826,7 @@ int run_serve(const CliOptions& cli) {
             << cli.workers << " worker(s), queue " << cli.queue << ")\n"
             << "stop with SIGTERM / Ctrl-C, or `tilo_cli --connect "
             << server.address().str() << " --stop`\n";
-  if (const store::PlanStore* st = server.plan_store()) {
+  if (const store::PlanStore* st = server.plan_store(); st->persistent()) {
     std::cout << "plan store at " << cli.store_dir << ": "
               << st->rehydrated() << " record(s) rehydrated, "
               << st->size() << " plan(s) warm\n";
@@ -876,41 +876,31 @@ void print_remote_schedule_line(const tilo::pipeline::Json& result) {
 /// Client mode: --connect ADDR [--ping | --stop | compile flags].  Sends
 /// the nest source to a running service and prints the same schedule lines
 /// as a local compile.
-/// The health lines under a pong: queue pressure (depth now, high-water
-/// mark, capacity), plan-cache effectiveness, and — when the server runs a
-/// plan store — rehydration and hit/miss counts.
+/// The health lines under a pong from a compile server: queue pressure
+/// (depth now, high-water mark, capacity), plan-store rehydration and
+/// hit/miss counts, and quota denials.  A fleet controller's stats carry
+/// none of these, so its pong gets no health lines.
 void print_ping_health(tilo::svc::Client& client) {
   using namespace tilo;
   const svc::Response st = client.stats();
   if (st.status != svc::RespStatus::kOk || st.result.empty()) return;
   const pipeline::Json s = pipeline::Json::parse(st.result);
-  if (const pipeline::Json* hits = s.find("cache_hits")) {
-    std::cout << "  queue       depth "
-              << s.at("queue_depth").as_integer("queue_depth")
-              << " now, peak "
-              << s.at("max_queue_depth").as_integer("max_queue_depth")
-              << " of "
-              << s.at("queue_capacity").as_integer("queue_capacity")
-              << '\n'
-              << "  plan cache  " << hits->as_integer("cache_hits")
-              << " hit(s) / "
-              << s.at("cache_misses").as_integer("cache_misses")
-              << " miss(es)\n";
-  }
-  const pipeline::Json* enabled = s.find("store_enabled");
-  if (enabled && enabled->as_bool("store_enabled")) {
-    std::cout << "  plan store  "
-              << s.at("store_hits").as_integer("store_hits") << " hit(s) / "
-              << s.at("store_misses").as_integer("store_misses")
-              << " miss(es), "
-              << s.at("store_puts").as_integer("store_puts") << " put(s), "
-              << s.at("store_rehydrated").as_integer("store_rehydrated")
-              << " rehydrated\n";
-  }
-  if (const pipeline::Json* qd = s.find("quota_denied"))
-    if (qd->as_integer("quota_denied") > 0)
-      std::cout << "  quota       " << qd->as_integer("quota_denied")
-                << " request(s) denied\n";
+  if (!s.find("queue_depth")) return;
+  std::cout << "  queue       depth "
+            << s.at("queue_depth").as_integer("queue_depth") << " now, peak "
+            << s.at("max_queue_depth").as_integer("max_queue_depth")
+            << " of " << s.at("queue_capacity").as_integer("queue_capacity")
+            << '\n'
+            << "  plan store  "
+            << s.at("store_hits").as_integer("store_hits") << " hit(s) / "
+            << s.at("store_misses").as_integer("store_misses")
+            << " miss(es), "
+            << s.at("store_puts").as_integer("store_puts") << " put(s), "
+            << s.at("store_rehydrated").as_integer("store_rehydrated")
+            << " rehydrated\n";
+  const i64 denied = s.at("quota_denied").as_integer("quota_denied");
+  if (denied > 0)
+    std::cout << "  quota       " << denied << " request(s) denied\n";
 }
 
 int run_connect(const CliOptions& cli) {

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "tilo/util/error.hpp"
-
 namespace tilo::core {
 
 namespace {
@@ -12,8 +10,8 @@ namespace {
 /// dependence set, the processor grid and the machine's cost scalars —
 /// i.e. the plan's serialized identity (the same fields
 /// pipeline::plan_to_json persists).  Two problems with equal tags produce
-/// identical plans for every (V, kind), so tag equality is exactly the
-/// safety condition for sharing a cache.
+/// identical plans for every (V, kind), so the tag is exactly the part of
+/// the key that lets problems share a cache.
 std::string problem_identity_tag(const Problem& p) {
   std::ostringstream os;
   os.precision(17);
@@ -41,30 +39,13 @@ std::string problem_identity_tag(const Problem& p) {
 std::shared_ptr<const TilePlan> PlanCache::get(const Problem& problem,
                                                i64 V, ScheduleKind kind) {
   const std::string tag = problem_identity_tag(problem);
-  // Single-problem scope keys on (V, kind) alone — the tag slot stays
-  // constant — and rejects a second problem; multi-problem scope folds the
-  // tag into the key instead.
-  const std::string key_tag =
-      scope_ == Scope::kMultiProblem ? tag : std::string();
-  const Key key{key_tag, V, static_cast<int>(kind)};
+  const Key key{tag, V, static_cast<int>(kind)};
   const ScheduleKind sibling_kind = kind == ScheduleKind::kOverlap
                                         ? ScheduleKind::kNonOverlap
                                         : ScheduleKind::kOverlap;
-  const Key sibling{key_tag, V, static_cast<int>(sibling_kind)};
+  const Key sibling{tag, V, static_cast<int>(sibling_kind)};
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (scope_ == Scope::kSingleProblem) {
-      if (problem_tag_.empty()) {
-        problem_tag_ = tag;
-      } else {
-        TILO_REQUIRE(problem_tag_ == tag,
-                     "PlanCache used with a different problem than it was "
-                     "built for — a single-problem cache is keyed by (V, "
-                     "kind) only and must serve exactly one Problem "
-                     "(create one cache per problem, or build the cache "
-                     "with Scope::kMultiProblem)");
-      }
-    }
     auto it = plans_.find(key);
     if (it != plans_.end()) {
       ++hits_;

@@ -20,39 +20,23 @@ namespace tilo::core {
 
 /// Cache of Problem::plan(V, kind) results.
 ///
-/// In the default kSingleProblem scope the cache serves ONE problem
-/// instance: the key is (V, kind) only, get() records an identity tag
-/// (domain, deps, procs, machine scalars — everything the serialized plan
-/// depends on) from the first problem it sees and throws util::Error if a
-/// later call presents a different problem, so a stale cache cannot
-/// silently serve plans built for the wrong domain.
+/// The key is (identity tag, V, kind), where the tag serializes everything
+/// the plan depends on (domain, deps, procs, machine scalars).  One cache
+/// can therefore back several problems — a whole pipeline scenario
+/// compiled in one Compiler invocation — without cross-talk, and it can
+/// never serve a plan built for a different problem.
 ///
-/// In kMultiProblem scope the identity tag joins the key, so one cache can
-/// back a whole pipeline scenario (several workloads compiled in one
-/// Compiler invocation) without cross-talk between problems.
-///
-/// Either way the cache must outlive every call it is passed to
+/// The cache must outlive every call it is passed to
 /// (SweepOptions::plan_cache and pipeline::CompileOptions::plan_cache are
 /// raw pointers).
 class PlanCache {
  public:
-  enum class Scope {
-    kSingleProblem,  ///< key (V, kind); different problem = util::Error
-    kMultiProblem,   ///< key (problem tag, V, kind); any mix of problems
-  };
-
-  explicit PlanCache(Scope scope = Scope::kSingleProblem) : scope_(scope) {}
-
   /// Returns the cached plan, building (and caching) it on a miss.  The
   /// geometry of a plan is independent of the schedule kind, so a miss
   /// whose sibling kind is present is served by copying the sibling and
   /// flipping the kind instead of rebuilding the tiling.
-  /// Throws util::Error in kSingleProblem scope when `problem` is not the
-  /// problem this cache was first used with (see class comment).
   std::shared_ptr<const TilePlan> get(const Problem& problem, i64 V,
                                       ScheduleKind kind);
-
-  Scope scope() const { return scope_; }
 
   /// Cache effectiveness counters (for benches and tests).
   std::uint64_t hits() const;
@@ -61,10 +45,7 @@ class PlanCache {
  private:
   using Key = std::tuple<std::string, i64, int>;
 
-  const Scope scope_;
   mutable std::mutex mu_;
-  /// kSingleProblem only: identity tag of the first problem served.
-  std::string problem_tag_;
   std::map<Key, std::shared_ptr<const TilePlan>> plans_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 namespace tilo::obs {
 
@@ -23,6 +24,20 @@ std::uint64_t LogHistogram::total_count() const {
   std::uint64_t n = 0;
   for (int i = 0; i < kBuckets; ++i) n += count(i);
   return n;
+}
+
+double LogHistogram::percentile_ns(double q) const {
+  const std::uint64_t total = total_count();
+  if (total == 0) return 0.0;
+  const double want = std::ceil(q * static_cast<double>(total));
+  const std::uint64_t target =
+      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(want));
+  std::uint64_t cum = 0;
+  for (int i = 0; i < kBuckets; ++i) {
+    cum += count(i);
+    if (cum >= target) return static_cast<double>(bucket_hi(i));
+  }
+  return static_cast<double>(bucket_hi(kBuckets - 1));
 }
 
 void Registry::span(int /*node*/, Phase phase, Time start, Time end,

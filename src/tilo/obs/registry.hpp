@@ -45,6 +45,10 @@ class LogHistogram {
         std::memory_order_relaxed);
   }
   std::uint64_t total_count() const;
+  /// Approximate percentile (0 < q <= 1): the upper edge of the bucket
+  /// holding the q-quantile sample, in ns (0 when empty).  Good to a
+  /// factor of two, which is what a shutdown summary needs.
+  double percentile_ns(double q) const;
   /// Sum of all recorded durations (clamped at 0 per sample), in ns.
   Time sum_ns() const { return sum_ns_.load(std::memory_order_relaxed); }
 

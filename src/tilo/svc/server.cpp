@@ -2,13 +2,11 @@
 
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <ostream>
 
 #include "tilo/pipeline/serialize.hpp"
@@ -31,23 +29,9 @@ std::int64_t now_ns() {
 
 // ------------------------------------------------------- internal structs
 
-/// One client connection: the socket plus a write lock, because the worker
-/// completing a flight and the reader answering a ping may respond to the
-/// same connection concurrently.
-struct Server::Conn {
-  explicit Conn(Fd f) : fd(std::move(f)) {}
-  Fd fd;
-  std::mutex write_mu;
-};
-
-struct Server::ConnSlot {
-  std::thread thread;
-  std::atomic<bool> done{false};
-};
-
 /// One admitted request waiting for a flight's result.
 struct Server::Member {
-  std::shared_ptr<Conn> conn;
+  ConnPtr conn;
   std::optional<i64> id;
   std::int64_t admitted_ns = 0;
   std::int64_t deadline_ns = 0;  ///< absolute; 0 = no deadline
@@ -63,28 +47,16 @@ struct Server::Flight {
   std::vector<Member> members;
 };
 
-// ---------------------------------------------------------------- helpers
-
-double histogram_percentile_ns(const obs::LogHistogram& hist, double q) {
-  const std::uint64_t total = hist.total_count();
-  if (total == 0) return 0.0;
-  const double want = std::ceil(q * static_cast<double>(total));
-  const std::uint64_t target =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(want));
-  std::uint64_t cum = 0;
-  for (int i = 0; i < obs::LogHistogram::kBuckets; ++i) {
-    cum += hist.count(i);
-    if (cum >= target)
-      return static_cast<double>(obs::LogHistogram::bucket_hi(i));
-  }
-  return static_cast<double>(
-      obs::LogHistogram::bucket_hi(obs::LogHistogram::kBuckets - 1));
-}
-
 // ----------------------------------------------------------------- Server
 
 Server::Server(ServerConfig config)
-    : cfg_(std::move(config)), queue_(cfg_.queue_capacity) {
+    : cfg_(std::move(config)),
+      queue_(cfg_.queue_capacity),
+      listener_(cfg_.max_frame_bytes,
+                [this](const ConnPtr& conn, FrameStatus status,
+                       const std::string& payload) {
+                  handle_frame(conn, status, payload);
+                }) {
   TILO_REQUIRE(cfg_.workers >= 1, "svc: need at least one worker, got ",
                cfg_.workers);
   TILO_REQUIRE(cfg_.queue_capacity >= 1, "svc: queue capacity must be >= 1");
@@ -96,26 +68,22 @@ void Server::start() {
   TILO_REQUIRE(!started_.load(), "svc::Server::start called twice");
   // Rehydrate the plan store before a single request can arrive, so the
   // first warm-key request of a restarted server is already a store hit.
-  if (!cfg_.store_dir.empty()) {
-    store::PlanStoreConfig store_cfg;
-    store_cfg.dir = cfg_.store_dir;
-    store_ = std::make_unique<store::PlanStore>(store_cfg);
-    if (cfg_.sink && store_->rehydrated() > 0)
-      cfg_.sink->counter("svc.store.rehydrated",
-                         static_cast<std::int64_t>(store_->rehydrated()));
-  }
+  store::PlanStoreConfig store_cfg;
+  store_cfg.dir = cfg_.store_dir;
+  store_ = std::make_unique<store::PlanStore>(store_cfg);
+  if (cfg_.sink && store_->rehydrated() > 0)
+    cfg_.sink->counter("svc.store.rehydrated",
+                       static_cast<std::int64_t>(store_->rehydrated()));
   if (cfg_.quota.rate > 0.0)
     quota_ = std::make_unique<store::Quota>(cfg_.quota);
-  addr_ = Address::parse(cfg_.address);
-  listen_fd_ = listen_on(addr_);
   int pipe_fds[2];
   TILO_REQUIRE(::pipe(pipe_fds) == 0, "pipe: ", std::strerror(errno));
   wake_rd_.reset(pipe_fds[0]);
   wake_wr_.reset(pipe_fds[1]);
+  listener_.start(cfg_.address);
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int i = 0; i < cfg_.workers; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
-  accept_thread_ = std::thread([this] { accept_loop(); });
   started_.store(true, std::memory_order_release);
 }
 
@@ -145,11 +113,8 @@ void Server::drain() {
   if (!started_.load() || drained_.load()) return;
   draining_.store(true, std::memory_order_release);
 
-  // 1. Stop accepting: wake the accept thread and join it.
-  if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listen_fd_.reset();
-  if (addr_.kind == Address::Kind::kUnix) ::unlink(addr_.path.c_str());
+  // 1. Stop accepting.
+  listener_.stop_accepting();
 
   // 2. Finish every admitted request: close the queue (readers now shed
   //    instead of enqueueing), let the workers drain the backlog, join.
@@ -160,87 +125,19 @@ void Server::drain() {
 
   // 3. Disconnect readers (every in-flight response was written in step 2)
   //    and join their threads.
-  std::vector<std::unique_ptr<ConnSlot>> slots;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const std::shared_ptr<Conn>& conn : conns_)
-      ::shutdown(conn->fd.get(), SHUT_RD);
-    slots.swap(conn_slots_);
-  }
-  for (const std::unique_ptr<ConnSlot>& slot : slots)
-    if (slot->thread.joinable()) slot->thread.join();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.clear();
-  }
+  listener_.close();
   drained_.store(true, std::memory_order_release);
 }
 
-void Server::accept_loop() {
-  for (;;) {
-    Fd fd = accept_on(listen_fd_.get());
-    if (draining_.load(std::memory_order_acquire)) break;
-    if (!fd.valid()) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;  // listening socket gone
-    }
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_shared<Conn>(std::move(fd));
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    // Reap readers whose connections already ended, so a long-running
-    // server's thread table tracks live connections, not total ever seen.
-    for (auto it = conn_slots_.begin(); it != conn_slots_.end();) {
-      if ((*it)->done.load(std::memory_order_acquire)) {
-        (*it)->thread.join();
-        it = conn_slots_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    conns_.push_back(conn);
-    auto slot = std::make_unique<ConnSlot>();
-    ConnSlot* raw = slot.get();
-    slot->thread = std::thread([this, conn, raw] {
-      conn_loop(conn);
-      raw->done.store(true, std::memory_order_release);
-    });
-    conn_slots_.push_back(std::move(slot));
-  }
-}
-
-void Server::conn_loop(std::shared_ptr<Conn> conn) {
-  std::string payload;
-  for (;;) {
-    const FrameStatus st =
-        read_frame(conn->fd.get(), payload, cfg_.max_frame_bytes);
-    if (st == FrameStatus::kFrame) {
-      handle_frame(conn, payload);
-      continue;
-    }
-    if (st == FrameStatus::kOversized) {
-      // The prefix itself is the protocol violation; after it the stream
-      // is unframeable, so answer once and close.
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      Response resp;
-      resp.status = RespStatus::kBadRequest;
-      resp.error = util::concat("frame length exceeds the ",
-                                cfg_.max_frame_bytes, "-byte cap");
-      send(conn, std::move(resp), now_ns());
-    }
-    break;  // kClosed, kTruncated, kError, kOversized: connection ends
-  }
-  // Deregister; the Conn object stays alive (via shared_ptr members) until
-  // any worker still holding it for an in-flight response is done with it.
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
-               conns_.end());
-}
-
-void Server::handle_frame(const std::shared_ptr<Conn>& conn,
+void Server::handle_frame(const ConnPtr& conn, FrameStatus status,
                           const std::string& payload) {
   const std::int64_t admitted = now_ns();
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (cfg_.sink) cfg_.sink->counter("svc.requests", 1);
+  if (status == FrameStatus::kOversized) {
+    send(conn, oversized_frame_response(cfg_.max_frame_bytes), admitted);
+    return;
+  }
 
   Json doc;
   try {
@@ -361,7 +258,7 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn,
   }
 }
 
-void Server::admit_compile(const std::shared_ptr<Conn>& conn, Request req) {
+void Server::admit_compile(const ConnPtr& conn, Request req) {
   const std::int64_t admitted = now_ns();
   const i64 deadline_ms =
       req.deadline_ms ? *req.deadline_ms : cfg_.default_deadline_ms;
@@ -446,24 +343,17 @@ void Server::worker_loop(int worker_index) {
     // no compile at all — the property the restart suites pin (a restarted
     // replica answers warm keys with compiles == 0).
     Response body;
-    bool store_hit = false;
-    if (store_) {
-      if (std::optional<std::string> cached = store_->get(work->key)) {
-        body.status = RespStatus::kOk;
-        body.result = std::move(*cached);
-        store_hit = true;
-        if (cfg_.sink) cfg_.sink->counter("svc.store.hit", 1);
-      } else if (cfg_.sink) {
-        cfg_.sink->counter("svc.store.miss", 1);
-      }
-    }
-    if (!store_hit) {
+    if (std::optional<std::string> cached = store_->get(work->key)) {
+      body.result = std::move(*cached);
+      if (cfg_.sink) cfg_.sink->counter("svc.store.hit", 1);
+    } else {
+      if (cfg_.sink) cfg_.sink->counter("svc.store.miss", 1);
       body = execute(flight.params);
       compiles_.fetch_add(1, std::memory_order_relaxed);
-      // Write-through: the first compile of a key persists its result
-      // bytes, so every later server generation (and every replica that
-      // compiles the same key) serves the identical bytes.
-      if (store_ && body.status == RespStatus::kOk && !body.result.empty()) {
+      // Write-through: the first compile of a key stores its result bytes,
+      // so every later request (and, with a disk tier, every later server
+      // generation) serves the identical bytes.
+      if (body.status == RespStatus::kOk && !body.result.empty()) {
         store_->put(work->key, body.result);
         if (cfg_.sink) cfg_.sink->counter("svc.store.put", 1);
       }
@@ -499,12 +389,11 @@ void Server::worker_loop(int worker_index) {
 
 Response Server::execute(const CompileParams& params) {
   pipeline::CompileOptions opts = cfg_.compile;
-  opts.plan_cache = &cache_;
   opts.sink = cfg_.sink;
   return execute_compile(opts, params);
 }
 
-void Server::send(const std::shared_ptr<Conn>& conn, Response resp,
+void Server::send(const ConnPtr& conn, Response resp,
                   std::int64_t admitted_ns) {
   switch (resp.status) {
     case RespStatus::kOk:
@@ -532,19 +421,15 @@ void Server::send(const std::shared_ptr<Conn>& conn, Response resp,
     cfg_.sink->counter(util::concat("svc.responses.",
                                     status_name(resp.status)),
                        1);
-  const std::string wire = response_to_wire(resp);
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    // A false return means the client vanished mid-request; the request
-    // was still answered as far as accounting goes.
-    (void)write_frame(conn->fd.get(), wire);
-  }
+  // A false return means the client vanished mid-request; the request was
+  // still answered as far as accounting goes.
+  (void)conn->send(response_to_wire(resp));
   if (admitted_ns >= 0) latency_.add(now_ns() - admitted_ns);
 }
 
 ServerStats Server::stats() const {
   ServerStats s;
-  s.connections = connections_.load(std::memory_order_relaxed);
+  s.connections = listener_.accepted();
   s.requests = requests_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
@@ -554,14 +439,10 @@ ServerStats Server::stats() const {
   s.quota_denied = quota_denied_.load(std::memory_order_relaxed);
   s.batched = batched_.load(std::memory_order_relaxed);
   s.compiles = compiles_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_.hits();
-  s.cache_misses = cache_.misses();
-  if (store_) {
-    s.store_hits = store_->hits();
-    s.store_misses = store_->misses();
-    s.store_puts = store_->puts();
-    s.store_rehydrated = store_->rehydrated();
-  }
+  s.store_hits = store_->hits();
+  s.store_misses = store_->misses();
+  s.store_puts = store_->puts();
+  s.store_rehydrated = store_->rehydrated();
   s.queue_depth = queue_.depth();
   s.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
   return s;
@@ -580,9 +461,6 @@ std::string Server::stats_result_json() const {
   r.set("quota_denied", Json::integer(static_cast<i64>(s.quota_denied)));
   r.set("batched", Json::integer(static_cast<i64>(s.batched)));
   r.set("compiles", Json::integer(static_cast<i64>(s.compiles)));
-  r.set("cache_hits", Json::integer(static_cast<i64>(s.cache_hits)));
-  r.set("cache_misses", Json::integer(static_cast<i64>(s.cache_misses)));
-  r.set("store_enabled", Json::boolean(store_ != nullptr));
   r.set("store_hits", Json::integer(static_cast<i64>(s.store_hits)));
   r.set("store_misses", Json::integer(static_cast<i64>(s.store_misses)));
   r.set("store_puts", Json::integer(static_cast<i64>(s.store_puts)));
@@ -593,45 +471,31 @@ std::string Server::stats_result_json() const {
         Json::integer(static_cast<i64>(s.max_queue_depth)));
   r.set("queue_capacity", Json::integer(static_cast<i64>(queue_.capacity())));
   r.set("workers", Json::integer(static_cast<i64>(cfg_.workers)));
-  r.set("latency_p50_ms",
-        Json::number(histogram_percentile_ns(latency_, 0.50) / 1e6));
-  r.set("latency_p99_ms",
-        Json::number(histogram_percentile_ns(latency_, 0.99) / 1e6));
+  r.set("latency_p50_ms", Json::number(latency_.percentile_ns(0.50) / 1e6));
+  r.set("latency_p99_ms", Json::number(latency_.percentile_ns(0.99) / 1e6));
   return r.dump();
 }
 
 void Server::write_summary(std::ostream& os) const {
   const ServerStats s = stats();
-  const std::uint64_t cache_total = s.cache_hits + s.cache_misses;
-  os << "svc summary (" << addr_.str() << ")\n"
+  os << "svc summary (" << address().str() << ")\n"
      << "  requests    " << s.requests << "  (ok " << s.completed
      << ", overloaded " << s.shed << ", timeout " << s.timed_out
      << ", error " << s.failed << ", rejected " << s.rejected
      << ", quota " << s.quota_denied << ")\n"
      << "  batching    " << s.batched << " single-flight follower(s) over "
      << s.compiles << " compile(s)\n"
-     << "  plan cache  " << s.cache_hits << " hit(s) / " << s.cache_misses
-     << " miss(es)"
-     << (cache_total
-             ? util::concat("  (",
-                            static_cast<int>(100.0 *
-                                             static_cast<double>(s.cache_hits) /
-                                             static_cast<double>(cache_total)),
-                            "% hit rate)")
-             : std::string())
-     << "\n"
      << "  queue       peak depth " << s.max_queue_depth << " of "
-     << queue_.capacity() << "\n";
-  if (store_) {
-    os << "  plan store  " << s.store_hits << " hit(s) / " << s.store_misses
-       << " miss(es), " << s.store_puts << " put(s), " << s.store_rehydrated
-       << " rehydrated (" << cfg_.store_dir << ")\n";
-    const std::string warn = store_->replay_warning();
-    if (!warn.empty()) os << "  store warn  " << warn << "\n";
-  }
-  os
-     << "  latency     p50 ~" << histogram_percentile_ns(latency_, 0.50) / 1e6
-     << " ms, p99 ~" << histogram_percentile_ns(latency_, 0.99) / 1e6
+     << queue_.capacity() << "\n"
+     << "  plan store  " << s.store_hits << " hit(s) / " << s.store_misses
+     << " miss(es), " << s.store_puts << " put(s), " << s.store_rehydrated
+     << " rehydrated ("
+     << (cfg_.store_dir.empty() ? std::string("memory only") : cfg_.store_dir)
+     << ")\n";
+  const std::string warn = store_->replay_warning();
+  if (!warn.empty()) os << "  store warn  " << warn << "\n";
+  os << "  latency     p50 ~" << latency_.percentile_ns(0.50) / 1e6
+     << " ms, p99 ~" << latency_.percentile_ns(0.99) / 1e6
      << " ms (log-bucket upper edges)\n";
 }
 

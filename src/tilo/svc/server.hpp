@@ -1,10 +1,11 @@
 // svc::Server — the long-running plan-compilation service.
 //
-// Architecture (DESIGN.md §11): an accept thread hands each connection to a
+// Architecture (DESIGN.md §11): an svc::Listener hands each connection to a
 // lightweight reader thread that parses frames and *admits* requests; a
 // fixed worker pool drains a bounded admission queue through one shared
-// staged-compiler configuration and a multi-problem core::PlanCache.
-// Robustness is part of the contract:
+// staged-compiler configuration, and the store::PlanStore is the one
+// response cache in front of the compiler.  Robustness is part of the
+// contract:
 //
 //   backpressure   try_push on the bounded queue; a full queue answers
 //                  "overloaded" immediately instead of queueing unboundedly
@@ -32,11 +33,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "tilo/core/plancache.hpp"
 #include "tilo/obs/registry.hpp"
 #include "tilo/pipeline/compiler.hpp"
 #include "tilo/store/plan_store.hpp"
 #include "tilo/store/quota.hpp"
+#include "tilo/svc/listener.hpp"
 #include "tilo/svc/protocol.hpp"
 #include "tilo/svc/queue.hpp"
 #include "tilo/svc/socket.hpp"
@@ -51,11 +52,12 @@ struct ServerConfig {
   i64 default_deadline_ms = 0;
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Base compile options (machine model, comm config, overlap level).
-  /// plan_cache and sink are owned by the server and overridden.
+  /// The server overrides their sink with `sink` below.
   pipeline::CompileOptions compile;
   obs::Sink* sink = nullptr;  ///< optional; must outlive the server
-  /// Content-addressed plan store segment-log directory ("" = no store):
-  /// compiled result bytes are written through on every first compile and
+  /// Segment-log directory of the plan store's disk tier ("" = memory tier
+  /// only).  The store always answers repeated keys from memory; with a
+  /// directory, compiled result bytes are also written through to disk and
   /// rehydrated on start(), so a restarted server answers warm keys
   /// without recompiling.
   std::string store_dir;
@@ -79,20 +81,13 @@ struct ServerStats {
   std::uint64_t quota_denied = 0;   ///< "quota_exceeded" responses
   std::uint64_t batched = 0;        ///< single-flight followers
   std::uint64_t compiles = 0;       ///< compiles actually executed
-  std::uint64_t cache_hits = 0;     ///< plan-cache hits
-  std::uint64_t cache_misses = 0;
   std::uint64_t store_hits = 0;     ///< plan-store read-through hits
-  std::uint64_t store_misses = 0;
+  std::uint64_t store_misses = 0;   ///< each one is followed by a compile
   std::uint64_t store_puts = 0;         ///< results written through
   std::uint64_t store_rehydrated = 0;   ///< records replayed on start()
   std::size_t queue_depth = 0;
   std::size_t max_queue_depth = 0;
 };
-
-/// Approximate percentile (0 < q <= 1) from a log-bucket histogram: the
-/// upper edge of the bucket holding the q-quantile sample, in ns.  Good to
-/// a factor of two, which is what a shutdown summary needs.
-double histogram_percentile_ns(const obs::LogHistogram& hist, double q);
 
 class Server {
  public:
@@ -102,12 +97,13 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the address and spawns the accept thread and worker pool.
-  /// Throws util::Error when the address cannot be bound.
+  /// Opens the plan store, binds the address and spawns the accept thread
+  /// and worker pool.  Throws util::Error when the store cannot be opened
+  /// or the address cannot be bound.
   void start();
 
   /// The resolved address (tcp:0 becomes the kernel-chosen port).
-  const Address& address() const { return addr_; }
+  const Address& address() const { return listener_.address(); }
 
   /// Blocks until `wake_fd` becomes readable (pass a SignalDrain fd; -1 =
   /// none) or a client sends the "shutdown" op, then drains and returns.
@@ -121,21 +117,20 @@ class Server {
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
+  /// Valid after start(), like plan_store().
   ServerStats stats() const;
   /// Wall-clock admission-to-response latency of every answered request.
   const obs::LogHistogram& latency_histogram() const { return latency_; }
 
-  /// The plan store (nullptr when store_dir was empty).  Valid after
-  /// start(); introspection for tests and the CLI.
+  /// The plan store (memory tier, plus the disk tier when store_dir is
+  /// set).  Valid after start(); introspection for tests and the CLI.
   const store::PlanStore* plan_store() const { return store_.get(); }
 
   /// The RunReport-style shutdown summary: outcome counts, batching and
-  /// cache effectiveness, latency percentiles.
+  /// plan-store effectiveness, latency percentiles.
   void write_summary(std::ostream& os) const;
 
  private:
-  struct Conn;
-  struct ConnSlot;  ///< a reader thread + its "finished, reap me" flag
   struct Flight;
   struct Member;
   struct Work {
@@ -143,34 +138,25 @@ class Server {
     std::shared_ptr<Flight> flight;
   };
 
-  void accept_loop();
-  void conn_loop(std::shared_ptr<Conn> conn);
   void worker_loop(int worker_index);
-  void handle_frame(const std::shared_ptr<Conn>& conn,
+  /// The listener's handler: runs on the connection's reader thread.
+  void handle_frame(const ConnPtr& conn, FrameStatus status,
                     const std::string& payload);
-  void admit_compile(const std::shared_ptr<Conn>& conn, Request req);
+  void admit_compile(const ConnPtr& conn, Request req);
   /// Runs one compile; returns an ok/error response body (id unset).
   Response execute(const CompileParams& params);
   std::string stats_result_json() const;
-  void send(const std::shared_ptr<Conn>& conn, Response resp,
-            std::int64_t admitted_ns);
+  void send(const ConnPtr& conn, Response resp, std::int64_t admitted_ns);
   void request_shutdown();
 
   ServerConfig cfg_;
-  Address addr_;
-  Fd listen_fd_;
   Fd wake_rd_, wake_wr_;  ///< self-pipe: the wire "shutdown" op → run_until
 
-  core::PlanCache cache_{core::PlanCache::Scope::kMultiProblem};
-  std::unique_ptr<store::PlanStore> store_;  ///< null = no store tier
+  std::unique_ptr<store::PlanStore> store_;
   std::unique_ptr<store::Quota> quota_;      ///< null = no admission quotas
   BoundedQueue<Work> queue_;
 
-  std::thread accept_thread_;
   std::vector<std::thread> workers_;
-  std::mutex conns_mu_;
-  std::vector<std::shared_ptr<Conn>> conns_;
-  std::vector<std::unique_ptr<ConnSlot>> conn_slots_;
 
   std::mutex flights_mu_;
   std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
@@ -181,11 +167,15 @@ class Server {
   std::mutex drain_mu_;  ///< serializes drain() callers
 
   // Outcome counters (relaxed: each is touched by exactly one event).
-  std::atomic<std::uint64_t> connections_{0}, requests_{0}, completed_{0},
-      shed_{0}, timed_out_{0}, failed_{0}, rejected_{0}, quota_denied_{0},
-      batched_{0}, compiles_{0};
+  std::atomic<std::uint64_t> requests_{0}, completed_{0}, shed_{0},
+      timed_out_{0}, failed_{0}, rejected_{0}, quota_denied_{0}, batched_{0},
+      compiles_{0};
   std::atomic<std::size_t> max_queue_depth_{0};
   obs::LogHistogram latency_;
+
+  /// Last: its reader threads call handle_frame, which uses everything
+  /// above.
+  Listener listener_;
 };
 
 /// Installs SIGTERM + SIGINT handlers that write one byte to a pipe, so a

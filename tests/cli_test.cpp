@@ -268,11 +268,11 @@ TEST(CliTest, ServeConnectStopRoundTrip) {
   }
   ASSERT_EQ(ping_rc, 0) << ping_out;
   EXPECT_NE(ping_out.find("pong"), std::string::npos) << ping_out;
-  // --ping renders the stats op's queue high-water mark and plan-cache
+  // --ping renders the stats op's queue high-water mark and plan-store
   // hit/miss counters alongside the round-trip time.
   EXPECT_NE(ping_out.find("queue"), std::string::npos) << ping_out;
   EXPECT_NE(ping_out.find("peak"), std::string::npos) << ping_out;
-  EXPECT_NE(ping_out.find("plan cache"), std::string::npos) << ping_out;
+  EXPECT_NE(ping_out.find("plan store"), std::string::npos) << ping_out;
 
   // A remote compile renders the same report shape as a local run.
   const auto [rc, out] = run_cli("--connect unix:" + sock + " --height 64");

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -500,6 +501,34 @@ TEST(FleetControllerTest, CompileOpIsRefusedByTheController) {
   const svc::Response resp = client.call(std::move(req));
   EXPECT_EQ(resp.status, svc::RespStatus::kBadRequest);
   EXPECT_NE(resp.error.find("fleet controller"), std::string::npos);
+  controller.stop();
+}
+
+TEST(FleetControllerTest, OversizedFrameIsAnsweredOnceThenClosed) {
+  ControllerConfig cfg;
+  cfg.address = fresh_address();
+  cfg.max_frame_bytes = 1024;
+  Controller controller(cfg, toy_units(1));
+  controller.start();
+  svc::Fd fd = svc::connect_to(controller.address(), /*timeout_ms=*/2000);
+  const char prefix[4] = {0x40, 0, 0, 0};  // a 1 GiB length prefix
+  ASSERT_EQ(::send(fd.get(), prefix, sizeof prefix, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof prefix));
+  std::string payload;
+  ASSERT_EQ(svc::read_frame(fd.get(), payload, svc::kDefaultMaxFrameBytes,
+                            /*deadline_ms=*/5000),
+            svc::FrameStatus::kFrame);
+  const svc::Response resp = svc::response_from_wire(payload);
+  EXPECT_EQ(resp.status, svc::RespStatus::kBadRequest);
+  EXPECT_NE(resp.error.find("cap"), std::string::npos) << resp.error;
+  // The stream cannot be re-framed after the prefix, so the controller
+  // closes the connection ...
+  EXPECT_EQ(svc::read_frame(fd.get(), payload, svc::kDefaultMaxFrameBytes,
+                            /*deadline_ms=*/2000),
+            svc::FrameStatus::kClosed);
+  // ... and keeps serving new ones.
+  svc::Client client = svc::Client::connect(cfg.address);
+  EXPECT_EQ(client.ping().status, svc::RespStatus::kOk);
   controller.stop();
 }
 

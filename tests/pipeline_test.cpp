@@ -269,7 +269,7 @@ pipeline::ScenarioFile three_workload_scenario() {
 
 TEST(PipelineScenario, OneInvocationCompilesThreeWorkloadsWithSpans) {
   obs::ChromeTraceSink sink;
-  core::PlanCache cache(core::PlanCache::Scope::kMultiProblem);
+  core::PlanCache cache;
   pipeline::CompileOptions opts;
   opts.plan_cache = &cache;
   opts.sink = &sink;
@@ -316,10 +316,10 @@ TEST(PipelineScenario, RejectsWrongEnvelope) {
       "version");
 }
 
-// -------------------------------------------------------- plan cache scopes
+// ---------------------------------------------------------------- plan cache
 
 TEST(PlanCacheScope, MultiProblemServesSeveralProblems) {
-  core::PlanCache cache(core::PlanCache::Scope::kMultiProblem);
+  core::PlanCache cache;
   const core::Problem a = core::paper_problem_i();
   const core::Problem b = core::paper_problem_iii();
   const auto pa = cache.get(a, 64, ScheduleKind::kOverlap);
@@ -335,15 +335,6 @@ TEST(PlanCacheScope, MultiProblemServesSeveralProblems) {
   const auto pa_non = cache.get(a, 64, ScheduleKind::kNonOverlap);
   EXPECT_EQ(pa_non->space.num_tiles(), pa->space.num_tiles());
   EXPECT_EQ(cache.hits(), 3u);
-}
-
-TEST(PlanCacheScope, SingleProblemStillRejectsAForeignProblem) {
-  core::PlanCache cache;  // default scope
-  EXPECT_EQ(cache.scope(), core::PlanCache::Scope::kSingleProblem);
-  cache.get(core::paper_problem_i(), 64, ScheduleKind::kOverlap);
-  EXPECT_THROW(
-      cache.get(core::paper_problem_ii(), 64, ScheduleKind::kOverlap),
-      util::Error);
 }
 
 }  // namespace

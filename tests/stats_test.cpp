@@ -1,52 +1,49 @@
-// Tests for trace::stats and the paper's utilization claim: the pipelined
-// schedule keeps processors computing a larger share of the makespan.
+// The paper's utilization claim, measured through obs::RunReport: per-rank
+// compute utilization and its mean/min/max, and the pipelined schedule
+// keeping processors computing a larger share of the makespan.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "tilo/exec/run.hpp"
 #include "tilo/loopnest/workloads.hpp"
-#include "tilo/trace/stats.hpp"
+#include "tilo/obs/report.hpp"
 
 using namespace tilo;
-using trace::Phase;
-using trace::RunStats;
-using trace::Timeline;
+using obs::Phase;
 
 TEST(StatsTest, SummarizeAggregatesPerNode) {
-  Timeline tl;
-  tl.record(0, Phase::kCompute, 0, 60);
-  tl.record(0, Phase::kFillMpiSend, 60, 70);
-  tl.record(0, Phase::kBlocked, 70, 100);
-  tl.record(1, Phase::kCompute, 0, 100);
-  const RunStats s = trace::summarize(tl);
+  obs::ReportSink sink;
+  sink.span(0, Phase::kCompute, 0, 60);
+  sink.span(0, Phase::kFillMpiSend, 60, 70);
+  sink.span(0, Phase::kBlocked, 70, 100);
+  sink.span(1, Phase::kCompute, 0, 100);
+  const obs::RunReport s = sink.report();
   EXPECT_EQ(s.makespan, 100);
-  ASSERT_EQ(s.nodes.size(), 2u);
-  EXPECT_EQ(s.nodes[0].time(Phase::kCompute), 60);
-  EXPECT_EQ(s.nodes[0].cpu_busy, 70);
-  EXPECT_DOUBLE_EQ(s.nodes[0].compute_utilization, 0.6);
-  EXPECT_DOUBLE_EQ(s.nodes[1].compute_utilization, 1.0);
+  ASSERT_EQ(s.ranks.size(), 2u);
+  EXPECT_EQ(s.ranks[0].time(Phase::kCompute), 60);
+  EXPECT_EQ(s.ranks[0].cpu_ns(), 70);
   EXPECT_DOUBLE_EQ(s.mean_compute_utilization, 0.8);
   EXPECT_DOUBLE_EQ(s.min_compute_utilization, 0.6);
   EXPECT_DOUBLE_EQ(s.max_compute_utilization, 1.0);
 }
 
 TEST(StatsTest, EmptyTimeline) {
-  const RunStats s = trace::summarize(Timeline{});
+  const obs::RunReport s = obs::ReportSink{}.report();
   EXPECT_EQ(s.makespan, 0);
-  EXPECT_TRUE(s.nodes.empty());
+  EXPECT_TRUE(s.ranks.empty());
   EXPECT_DOUBLE_EQ(s.mean_compute_utilization, 0.0);
 }
 
 TEST(StatsTest, TableRendersAllNodes) {
-  Timeline tl;
-  tl.record(0, Phase::kCompute, 0, 50);
-  tl.record(1, Phase::kWire, 0, 25);
+  obs::ReportSink sink;
+  sink.span(0, Phase::kCompute, 0, 50);
+  sink.span(1, Phase::kWire, 0, 25);
   std::ostringstream os;
-  trace::write_stats_table(os, trace::summarize(tl));
-  EXPECT_NE(os.str().find("compute util"), std::string::npos);
+  sink.report().write_table(os);
+  EXPECT_NE(os.str().find("util %"), std::string::npos);
   EXPECT_NE(os.str().find("makespan"), std::string::npos);
-  EXPECT_NE(os.str().find("100.0 %"), std::string::npos);
+  EXPECT_NE(os.str().find("100.0"), std::string::npos);
 }
 
 TEST(StatsTest, OverlapScheduleRaisesComputeUtilization) {
@@ -60,11 +57,11 @@ TEST(StatsTest, OverlapScheduleRaisesComputeUtilization) {
                              : sched::ScheduleKind::kOverlap;
     const exec::TilePlan plan =
         exec::make_plan(nest, tile::RectTiling(lat::Vec{4, 4, 32}), kind);
-    trace::Timeline tl;
+    obs::ReportSink sink;
     exec::RunOptions opts;
-    opts.sink = &tl;
+    opts.sink = &sink;
     exec::run_plan(nest, plan, p, opts);
-    util[i] = trace::summarize(tl).mean_compute_utilization;
+    util[i] = sink.report().mean_compute_utilization;
   }
   EXPECT_GT(util[1], util[0]);
 }
@@ -74,10 +71,12 @@ TEST(StatsTest, CpuBusyNeverExceedsMakespan) {
   const exec::TilePlan plan = exec::make_plan(
       nest, tile::RectTiling(lat::Vec{4, 4, 8}),
       sched::ScheduleKind::kOverlap);
-  trace::Timeline tl;
+  obs::ReportSink sink;
   exec::RunOptions opts;
-  opts.sink = &tl;
+  opts.sink = &sink;
   exec::run_plan(nest, plan, mach::MachineParams::paper_cluster(), opts);
-  const RunStats s = trace::summarize(tl);
-  for (const auto& ns : s.nodes) EXPECT_LE(ns.cpu_busy, s.makespan);
+  const obs::RunReport s = sink.report();
+  ASSERT_FALSE(s.ranks.empty());
+  for (const obs::RankBreakdown& r : s.ranks)
+    EXPECT_LE(r.cpu_ns(), s.makespan) << "rank " << r.node;
 }
