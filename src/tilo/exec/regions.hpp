@@ -54,4 +54,40 @@ std::vector<TileComm> outgoing(const tile::TiledSpace& space, const Vec& t);
 /// ships a nonempty region list to t.
 std::vector<TileComm> incoming(const tile::TiledSpace& space, const Vec& t);
 
+/// The timed runs' communication table: every tile's outgoing and incoming
+/// (offset, points, dir) summaries — outgoing()/incoming() without the
+/// region lists — stored once per boundary class.  Along each dimension a
+/// tile's summaries depend only on whether its coordinate is the first,
+/// second, second-to-last or last of the tile space (that is where clipped
+/// and missing neighbours sit); every other coordinate is interior and its
+/// summaries are a pure translate.  So at most 5 representative
+/// coordinates per dimension cover a tile space of any size.  Each class's
+/// point counts come from stack arithmetic — the sum over dependences d of
+/// |B(src) ∩ (B(dst) - d)|, one axis at a time — not from region boxes.
+class CommSummaries {
+ public:
+  /// True when built for `space`'s geometry: tile sides, domain and
+  /// dependences (the summaries depend on all three).
+  bool matches(const tile::TiledSpace& space) const;
+  void build(const tile::TiledSpace& space);
+
+  const std::vector<TileComm>& outgoing(const Vec& t) const {
+    return out_[class_of(t)];
+  }
+  const std::vector<TileComm>& incoming(const Vec& t) const {
+    return in_[class_of(t)];
+  }
+
+ private:
+  std::size_t class_of(const Vec& t) const;
+
+  bool valid_ = false;
+  Vec sides_;
+  Box domain_;
+  std::vector<Vec> deps_;
+  Box tiles_;                // the tile space
+  std::vector<i64> radix_;   // classes per dimension: min(extent, 5)
+  std::vector<std::vector<TileComm>> out_, in_;  // per class
+};
+
 }  // namespace tilo::exec

@@ -2,9 +2,6 @@
 
 #include <cmath>
 #include <coroutine>
-#include <cstdint>
-#include <map>
-#include <set>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -38,116 +35,17 @@ struct RankState {
   }
 };
 
-/// Per-tile communication geometry for one tiled space, built once and
-/// reused across runs (the overlap and non-overlap schedules at one tile
-/// height share it).
-///
-/// Timed runs only read the (offset, points, dir) summaries, and those are
-/// translation-invariant: every tile with the same boundary profile (at the
-/// low edge / at the high edge / adjacent to a clipped high-edge tile, per
-/// dimension) has a byte-identical summary list.  So the timed table stores
-/// one list per *equivalence class* (≤ 8^dims classes, a few dozen in
-/// practice) plus a per-tile class id — turning the per-point sweep setup
-/// from O(tiles × geometry) into O(classes × geometry + tiles).  Functional
-/// runs need absolute region boxes and keep the per-tile path.  Above the
-/// caps the table is not materialized and lookups fall back to computing
-/// geometry on the fly, bounding memory.
-struct CommTable {
-  static constexpr i64 kMaxTiles = i64{1} << 16;         // per-tile (regions)
-  static constexpr i64 kMaxClassedTiles = i64{1} << 22;  // classed (timed)
-
-  lat::Vec sides;  // geometry key: tile sides + domain identify the space
-  Box domain;
-  bool with_regions = false;
-  bool valid = false;
-  bool passthrough = false;
-  bool classed = false;
-  std::vector<std::vector<TileComm>> in, out;        // per tile (regions mode)
-  std::vector<std::uint16_t> tile_class;             // classed mode
-  std::vector<std::vector<TileComm>> class_in, class_out;
-
-  bool matches(const tile::TiledSpace& space, bool regions_needed) const {
-    return valid && (with_regions || !regions_needed) &&
-           sides == space.tiling().sides() && domain == space.domain();
-  }
-
-  void build(const tile::TiledSpace& space, bool regions_needed) {
-    valid = false;
-    sides = space.tiling().sides();
-    domain = space.domain();
-    with_regions = regions_needed;
-    classed = !regions_needed;
-    in.clear();
-    out.clear();
-    tile_class.clear();
-    class_in.clear();
-    class_out.clear();
-    passthrough =
-        space.num_tiles() > (classed ? kMaxClassedTiles : kMaxTiles);
-    if (passthrough) {
-      valid = true;
-      return;
-    }
-    const Box& ts = space.tile_space();
-    const std::size_t n = static_cast<std::size_t>(space.num_tiles());
-    if (classed) {
-      // Class key: per dimension, whether the tile sits at the low edge,
-      // the high edge, or immediately before the high edge (whose tile may
-      // be clipped by the domain).  Everything else is "interior" and the
-      // comm summary is a pure translate.
-      tile_class.assign(n, 0);
-      std::map<std::uint64_t, std::uint16_t> ids;
-      space.for_each_tile([&](const Vec& t) {
-        std::uint64_t key = 0;
-        for (std::size_t d = 0; d < t.size(); ++d) {
-          const i64 c = t[d];
-          const std::uint64_t code =
-              static_cast<std::uint64_t>(c == ts.lo()[d]) |
-              (static_cast<std::uint64_t>(c == ts.hi()[d]) << 1) |
-              (static_cast<std::uint64_t>(c + 1 == ts.hi()[d]) << 2);
-          key = key * 8 + code;
-        }
-        auto [it, fresh] =
-            ids.try_emplace(key, static_cast<std::uint16_t>(class_in.size()));
-        if (fresh) {
-          TILO_ASSERT(class_in.size() < (std::size_t{1} << 16),
-                      "comm-table class id overflow");
-          class_out.push_back(strip_regions(outgoing(space, t)));
-          class_in.push_back(strip_regions(incoming(space, t)));
-        }
-        tile_class[static_cast<std::size_t>(ts.linear_index(t))] = it->second;
-      });
-      valid = true;
-      return;
-    }
-    in.assign(n, {});
-    out.assign(n, {});
-    space.for_each_tile([&](const Vec& t) {
-      const auto idx = static_cast<std::size_t>(ts.linear_index(t));
-      out[idx] = outgoing(space, t);
-      in[idx] = incoming(space, t);
-    });
-    valid = true;
-  }
-
- private:
-  static std::vector<TileComm> strip_regions(std::vector<TileComm> list) {
-    for (TileComm& c : list) {
-      c.regions.clear();
-      c.regions.shrink_to_fit();
-    }
-    return list;
-  }
-};
-
-/// A comm list for one tile: a borrowed view of the table entry, or (in
-/// passthrough mode) an owned freshly-computed list.  Named locals of this
-/// type keep owned lists alive across coroutine suspension points.
+/// A comm list for one tile: a borrowed view of the timed table entry, or
+/// (functional runs) the tile's own freshly computed region lists.  Named
+/// locals of this type keep owned lists alive across coroutine suspension
+/// points.
 struct CommView {
   std::vector<TileComm> owned;
-  const std::vector<TileComm>* list = nullptr;
+  const std::vector<TileComm>* borrowed = nullptr;
 
-  const std::vector<TileComm>& items() const { return *list; }
+  const std::vector<TileComm>& items() const {
+    return borrowed ? *borrowed : owned;
+  }
 };
 
 struct Ctx {
@@ -156,7 +54,7 @@ struct Ctx {
   RunOptions opts;
   std::unique_ptr<msg::Cluster> cluster;
   std::vector<RankState>* ranks = nullptr;
-  const CommTable* comm = nullptr;
+  const CommSummaries* comm = nullptr;  // timed runs only
   ProgramErrorSink sink;
   int bpe = 4;
   i64 ndirs = 1;
@@ -165,34 +63,24 @@ struct Ctx {
   ProgramErrorSink& error_sink() { return sink; }
 };
 
+// Timed runs read the (offset, points, dir) summaries from the workspace's
+// class table; functional runs need the absolute region boxes and compute
+// each tile's lists on the fly (every tile is visited once per run).
 CommView ins_of(const Ctx& ctx, const Vec& t) {
   CommView v;
-  if (ctx.comm->passthrough) {
+  if (ctx.opts.functional)
     v.owned = incoming(ctx.plan->space, t);
-    v.list = &v.owned;
-  } else if (ctx.comm->classed) {
-    v.list = &ctx.comm->class_in[ctx.comm->tile_class[static_cast<std::size_t>(
-        ctx.plan->space.tile_space().linear_index(t))]];
-  } else {
-    v.list = &ctx.comm->in[static_cast<std::size_t>(
-        ctx.plan->space.tile_space().linear_index(t))];
-  }
+  else
+    v.borrowed = &ctx.comm->incoming(t);
   return v;
 }
 
 CommView outs_of(const Ctx& ctx, const Vec& t) {
   CommView v;
-  if (ctx.comm->passthrough) {
+  if (ctx.opts.functional)
     v.owned = outgoing(ctx.plan->space, t);
-    v.list = &v.owned;
-  } else if (ctx.comm->classed) {
-    v.list =
-        &ctx.comm->class_out[ctx.comm->tile_class[static_cast<std::size_t>(
-            ctx.plan->space.tile_space().linear_index(t))]];
-  } else {
-    v.list = &ctx.comm->out[static_cast<std::size_t>(
-        ctx.plan->space.tile_space().linear_index(t))];
-  }
+  else
+    v.borrowed = &ctx.comm->outgoing(t);
   return v;
 }
 
@@ -245,24 +133,35 @@ void init_rank_state(Ctx& ctx, int rank) {
   }
 }
 
-/// Bytes a tile's computation touches: its own cells plus the low-side
-/// halo slabs it reads (the paper's Fig. 6 working set).
-i64 tile_working_set_bytes(const Ctx& ctx, const Box& box) {
-  i64 cells = box.volume();
-  for (std::size_t d = 0; d < box.dims(); ++d) {
+/// CPU time of tile t's computation: its iterations (the full clipped box
+/// volume, or the TileCostModel's refinement for non-uniform workloads) at
+/// its working set — its own cells plus the low-side halo slabs it reads
+/// (the paper's Fig. 6 working set).  The box's extents come from per-axis
+/// arithmetic; only the cost-model hook gets a Box.
+sim::Time compute_tile_ns(const Ctx& ctx, const Vec& t) {
+  const tile::TiledSpace& space = ctx.plan->space;
+  TILO_REQUIRE(space.tile_space().contains(t), "tile ", t.str(),
+               " outside tile space ", space.tile_space().str());
+  const auto extent = [&](std::size_t d) {
+    const auto [lo, hi] = space.axis_bounds(d, t[d]);
+    return util::checked_add(util::checked_sub(hi, lo), 1);
+  };
+  i64 volume = 1;
+  for (std::size_t d = 0; d < t.size(); ++d)
+    volume = util::checked_mul(volume, extent(d));
+  i64 cells = volume;
+  for (std::size_t d = 0; d < t.size(); ++d) {
     const i64 halo = ctx.nest->deps().max_component(d);
     if (halo > 0)
       cells = util::checked_add(
-          cells, util::checked_mul(box.volume() / box.extent(d), halo));
+          cells, util::checked_mul(volume / extent(d), halo));
   }
-  return util::checked_mul(cells, ctx.bpe);
-}
-
-/// Iterations charged for tile `t` covering `box`: the full box volume, or
-/// the TileCostModel's refinement for non-uniform workloads.
-i64 tile_iterations(const Ctx& ctx, const Vec& t, const Box& box) {
-  return ctx.opts.tile_costs ? ctx.opts.tile_costs->tile_iterations(t, box)
-                             : box.volume();
+  const i64 iterations =
+      ctx.opts.tile_costs ? ctx.opts.tile_costs->tile_iterations(
+                                t, space.tile_iterations(t))
+                          : volume;
+  return ctx.cluster->compute_ns(iterations,
+                                 util::checked_mul(cells, ctx.bpe));
 }
 
 /// Bytes of the message consumed by `consumer_tile` for comm record
@@ -329,19 +228,24 @@ RankProgram blocking_program(Ctx& ctx, int rank) {
 
   // Temporaries are hoisted into named locals before every loop that
   // crosses a suspension point (GCC 12 mishandles lifetime-extended
-  // range-for temporaries in coroutine frames).
+  // range-for temporaries in coroutine frames).  The tile coordinates live
+  // in the frame and are updated in place: stepping through tiles and
+  // messages builds no temporary Vec.
   const std::vector<Vec> columns = mapping.columns_of_rank(rank);
+  Vec t;     // the tile being executed
+  Vec peer;  // the other end of one message
   for (const Vec& col : columns) {
+    t = col;
     for (i64 k = klo; k <= khi; ++k) {
-      Vec t = col;
       t[md] = k;
 
       // Receive phase: block until each message is on the wire-side done,
       // then pay the receive pipeline on the CPU (no overlap, Fig. 7).
       const CommView ins = ins_of(ctx, t);
       for (const TileComm& in : ins.items()) {
-        const Vec src_t = t - in.offset;
-        const i64 src_rank = mapping.rank_of_tile(src_t);
+        peer = t;
+        peer -= in.offset;
+        const i64 src_rank = mapping.rank_of_tile(peer);
         if (src_rank == rank) continue;
         auto h = ep.irecv(static_cast<int>(src_rank),
                           tag_for(ctx, t, in.dir));
@@ -357,21 +261,18 @@ RankProgram blocking_program(Ctx& ctx, int rank) {
       }
 
       // Compute phase.
-      const Box box = space.tile_iterations(t);
-      co_await CpuAwait{ep,
-                        ctx.cluster->compute_ns(
-                            tile_iterations(ctx, t, box),
-                            tile_working_set_bytes(ctx, box)),
-                        obs::Phase::kCompute};
-      if (ctx.opts.functional) compute_tile_values(ctx, rs, box);
+      co_await CpuAwait{ep, compute_tile_ns(ctx, t), obs::Phase::kCompute};
+      if (ctx.opts.functional)
+        compute_tile_values(ctx, rs, space.tile_iterations(t));
 
       // Send phase: the whole send pipeline runs on the CPU.
       const CommView outs = outs_of(ctx, t);
       for (const TileComm& out : outs.items()) {
-        const Vec dst_t = t + out.offset;
-        const i64 dst_rank = mapping.rank_of_tile(dst_t);
+        peer = t;
+        peer += out.offset;
+        const i64 dst_rank = mapping.rank_of_tile(peer);
         if (dst_rank == rank) continue;
-        const i64 bytes = message_bytes(ctx, dst_t, out);
+        const i64 bytes = message_bytes(ctx, peer, out);
         co_await CpuAwait{ep, ctx.cluster->fill_mpi_ns(bytes),
                           obs::Phase::kFillMpiSend};
         co_await CpuAwait{ep, ctx.cluster->fill_kernel_ns(bytes),
@@ -381,7 +282,7 @@ RankProgram blocking_program(Ctx& ctx, int rank) {
         msg::Payload payload;
         if (ctx.opts.functional) payload = encode_payload(rs, out.regions);
         ep.post_blocking(static_cast<int>(dst_rank),
-                         tag_for(ctx, dst_t, out.dir),
+                         tag_for(ctx, peer, out.dir),
                          bytes, std::move(payload));
       }
     }
@@ -407,23 +308,29 @@ RankProgram nonblocking_program(Ctx& ctx, int rank) {
     i64 bytes = 0;  ///< message size, resolved at post time (consumer tile)
   };
 
+  // As in blocking_program: named frame locals, updated in place.
   const std::vector<Vec> columns = mapping.columns_of_rank(rank);
+  Vec t;     // tile k
+  Vec step;  // tile k-1 (whose results ship) or k+1 (whose data is posted)
+  Vec peer;  // the other end of one message
+  std::vector<PendingRecv> pending;
+  std::vector<std::shared_ptr<msg::SendHandle>> sends;
   for (const Vec& col : columns) {
-    std::vector<PendingRecv> pending;
+    t = col;
 
     // Pipeline prologue: fetch the first tile's inbound data.
     {
-      Vec t0 = col;
-      t0[md] = klo;
-      const CommView ins = ins_of(ctx, t0);
+      t[md] = klo;
+      const CommView ins = ins_of(ctx, t);
       for (const TileComm& in : ins.items()) {
-        const Vec src_t = t0 - in.offset;
-        const i64 src_rank = mapping.rank_of_tile(src_t);
+        peer = t;
+        peer -= in.offset;
+        const i64 src_rank = mapping.rank_of_tile(peer);
         if (src_rank == rank) continue;
         auto h = ep.irecv(static_cast<int>(src_rank),
-                          tag_for(ctx, t0, in.dir));
+                          tag_for(ctx, t, in.dir));
         pending.push_back(
-            PendingRecv{std::move(h), &in, message_bytes(ctx, t0, in)});
+            PendingRecv{std::move(h), &in, message_bytes(ctx, t, in)});
       }
       for (PendingRecv& pr : pending) {
         co_await RecvReadyAwait{*ctx.cluster, rank, pr.handle};
@@ -441,29 +348,28 @@ RankProgram nonblocking_program(Ctx& ctx, int rank) {
       pending.clear();
     }
 
-    std::vector<std::shared_ptr<msg::SendHandle>> sends;
     for (i64 k = klo; k <= khi; ++k) {
-      Vec t = col;
       t[md] = k;
 
       // 1. Nonblocking sends of tile (k-1)'s results (A1 on the CPU, the
       //    rest of the pipeline on the DMA channel).
       if (k > klo) {
-        Vec prev = col;
-        prev[md] = k - 1;
-        const CommView outs = outs_of(ctx, prev);
+        step = t;
+        step[md] = k - 1;
+        const CommView outs = outs_of(ctx, step);
         for (const TileComm& out : outs.items()) {
-          const Vec dst_t = prev + out.offset;
-          const i64 dst_rank = mapping.rank_of_tile(dst_t);
+          peer = step;
+          peer += out.offset;
+          const i64 dst_rank = mapping.rank_of_tile(peer);
           if (dst_rank == rank) continue;
-          const i64 bytes = message_bytes(ctx, dst_t, out);
+          const i64 bytes = message_bytes(ctx, peer, out);
           co_await CpuAwait{ep, ctx.cluster->fill_mpi_ns(bytes),
                             obs::Phase::kFillMpiSend};
           msg::Payload payload;
           if (ctx.opts.functional) payload = encode_payload(rs, out.regions);
           sends.push_back(ep.isend(
               static_cast<int>(dst_rank),
-              tag_for(ctx, dst_t, out.dir), bytes,
+              tag_for(ctx, peer, out.dir), bytes,
               std::move(payload)));
           // Imperfect overlap: the offloaded send steals CPU cycles.
           const sim::Time sstall = ctx.cluster->send_interference_ns(bytes);
@@ -476,28 +382,25 @@ RankProgram nonblocking_program(Ctx& ctx, int rank) {
       //    pending waits complete at the end of this iteration.
       CommView next_ins;
       if (k < khi) {
-        Vec next = col;
-        next[md] = k + 1;
-        next_ins = ins_of(ctx, next);
+        step = t;
+        step[md] = k + 1;
+        next_ins = ins_of(ctx, step);
         for (const TileComm& in : next_ins.items()) {
-          const Vec src_t = next - in.offset;
-          const i64 src_rank = mapping.rank_of_tile(src_t);
+          peer = step;
+          peer -= in.offset;
+          const i64 src_rank = mapping.rank_of_tile(peer);
           if (src_rank == rank) continue;
           auto h = ep.irecv(static_cast<int>(src_rank),
-                            tag_for(ctx, next, in.dir));
+                            tag_for(ctx, step, in.dir));
           pending.push_back(
-              PendingRecv{std::move(h), &in, message_bytes(ctx, next, in)});
+              PendingRecv{std::move(h), &in, message_bytes(ctx, step, in)});
         }
       }
 
       // 3. Compute tile k while the DMA channels move data.
-      const Box box = space.tile_iterations(t);
-      co_await CpuAwait{ep,
-                        ctx.cluster->compute_ns(
-                            tile_iterations(ctx, t, box),
-                            tile_working_set_bytes(ctx, box)),
-                        obs::Phase::kCompute};
-      if (ctx.opts.functional) compute_tile_values(ctx, rs, box);
+      co_await CpuAwait{ep, compute_tile_ns(ctx, t), obs::Phase::kCompute};
+      if (ctx.opts.functional)
+        compute_tile_values(ctx, rs, space.tile_iterations(t));
 
       // 4. Wait for the sends (buffer reuse) ...
       for (auto& s : sends) co_await SendDoneAwait{*ctx.cluster, rank, s};
@@ -520,21 +423,21 @@ RankProgram nonblocking_program(Ctx& ctx, int rank) {
 
     // Column epilogue: ship the last tile's results.
     {
-      Vec tl = col;
-      tl[md] = khi;
-      const CommView outs = outs_of(ctx, tl);
+      t[md] = khi;
+      const CommView outs = outs_of(ctx, t);
       for (const TileComm& out : outs.items()) {
-        const Vec dst_t = tl + out.offset;
-        const i64 dst_rank = mapping.rank_of_tile(dst_t);
+        peer = t;
+        peer += out.offset;
+        const i64 dst_rank = mapping.rank_of_tile(peer);
         if (dst_rank == rank) continue;
-        const i64 bytes = message_bytes(ctx, dst_t, out);
+        const i64 bytes = message_bytes(ctx, peer, out);
         co_await CpuAwait{ep, ctx.cluster->fill_mpi_ns(bytes),
                           obs::Phase::kFillMpiSend};
         msg::Payload payload;
         if (ctx.opts.functional) payload = encode_payload(rs, out.regions);
         sends.push_back(ep.isend(
             static_cast<int>(dst_rank),
-            tag_for(ctx, dst_t, out.dir), bytes,
+            tag_for(ctx, peer, out.dir), bytes,
             std::move(payload)));
         const sim::Time sstall = ctx.cluster->send_interference_ns(bytes);
         if (sstall > 0)
@@ -565,7 +468,7 @@ loop::DenseField assemble_field(const Ctx& ctx) {
 
 struct RunWorkspace::Impl {
   std::vector<RankState> ranks;
-  CommTable comm;
+  CommSummaries comm;  // timed runs' class table
 };
 
 RunWorkspace::RunWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -602,8 +505,8 @@ RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
 
   RunWorkspace local;
   RunWorkspace::Impl& ws = workspace ? *workspace->impl_ : *local.impl_;
-  if (!ws.comm.matches(plan.space, opts.functional))
-    ws.comm.build(plan.space, opts.functional);
+  if (!opts.functional && !ws.comm.matches(plan.space))
+    ws.comm.build(plan.space);
 
   Ctx ctx;
   ctx.nest = &nest;
@@ -645,7 +548,7 @@ RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
   const sim::Time end = ctx.cluster->run();
   // Reclaim any programs still parked on message waits (lost message or
   // deadlock): destroying the frames releases their buffers and handles.
-  const std::set<void*> stalled = ctx.cluster->take_suspended();
+  const std::vector<void*> stalled = ctx.cluster->take_suspended();
   for (void* address : stalled)
     std::coroutine_handle<>::from_address(address).destroy();
   if (ctx.sink.error) std::rethrow_exception(ctx.sink.error);

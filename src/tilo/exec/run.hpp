@@ -118,11 +118,12 @@ class RunWorkspace;
 /// scheduling deadlock) instead of silently returning partial results.
 ///
 /// `workspace` (optional) carries reusable buffers across runs: the
-/// per-rank state vector and the per-tile communication-geometry table.
+/// per-rank state vector and the timed runs' communication table
+/// (exec::CommSummaries, keyed by tile sides, domain and dependences).
 /// Passing the same workspace to consecutive runs over the same tiled
 /// geometry (e.g. the overlap and non-overlap schedules at one tile height
-/// V) amortizes tile enumeration and region computation; results are
-/// byte-identical with or without a workspace.
+/// V) skips the table build; results are byte-identical with or without a
+/// workspace, and a workspace reused for another nest rebuilds.
 RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
                    const mach::MachineParams& params,
                    const RunOptions& opts = {},

@@ -3,9 +3,9 @@
 // testbed (see DESIGN.md §2).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -87,19 +87,18 @@ class Cluster {
     return traffic_;
   }
 
-  /// Suspended-program registry (used by the executors' coroutine
-  /// awaitables): a program parks its coroutine address while waiting on a
-  /// message handle and removes it on resume.  After the engine drains, a
-  /// stalled run reclaims whatever is still parked so injected failures
-  /// cannot leak coroutine frames.
-  void register_suspended(void* coroutine_address) {
-    suspended_.insert(coroutine_address);
+  /// Suspended-program slots (used by the executors' coroutine awaitables).
+  /// Each rank runs exactly one program, which parks its coroutine address
+  /// in its rank's slot while it waits on a message handle and clears the
+  /// slot on resume.  After the engine drains, a stalled run reclaims
+  /// whatever is still parked so injected failures cannot leak coroutine
+  /// frames.
+  void register_suspended(int rank, void* coroutine_address);
+  void unregister_suspended(int rank) {
+    suspended_[static_cast<std::size_t>(rank)] = nullptr;
   }
-  void unregister_suspended(void* coroutine_address) {
-    suspended_.erase(coroutine_address);
-  }
-  /// Returns and clears the parked set.
-  std::set<void*> take_suspended() { return std::move(suspended_); }
+  /// Returns the parked addresses in rank order and clears every slot.
+  std::vector<void*> take_suspended();
 
   // --- cost conversion helpers (seconds model -> simulated ns) ---
   // Wire helpers take an optional (src, dst) so heterogeneous-link models
@@ -123,18 +122,42 @@ class Cluster {
     std::unique_ptr<sim::Resource> channel[2];
   };
 
+  /// A message between its send and its delivery.  In-flight messages wait
+  /// in a pool the cluster owns, so an engine callback carries only the
+  /// cluster and a pool id and always fits the engine's inline event slot.
+  struct Transfer {
+    Message message;
+    std::shared_ptr<SendHandle> handle;  ///< null on the blocking path
+    sim::Time wire_half = 0;             ///< B1 (= B4)
+    sim::Time recv_copy = 0;             ///< B2
+    sim::Time latency = 0;
+  };
+
   sim::Resource& send_channel(int rank);
   sim::Resource& recv_channel(int rank);
+
+  /// Parks a message (and its send handle) in the pool; returns its id.
+  std::uint32_t park(Message m, std::shared_ptr<SendHandle> handle);
+  /// Frees pool slot `id` and hands its message to the destination.
+  void deliver(std::uint32_t id);
 
   /// Overlapped (DMA) transfer entry; called by Endpoint::isend.  Eager
   /// protocol pipelines immediately; rendezvous first runs the RTS/CTS
   /// handshake against the receiver's posted-receive table.
   void start_transfer(Message m, const std::shared_ptr<SendHandle>& handle);
-  /// The data pipeline itself (post-handshake under rendezvous).
-  void start_pipeline(Message m, const std::shared_ptr<SendHandle>& handle);
-  /// Rendezvous: receiver granted the transfer; CTS travels back, then the
-  /// pipeline runs.  Called by Endpoint when a matching irecv is posted.
-  void clear_to_send(Message m, std::shared_ptr<SendHandle> handle);
+  /// The data pipeline of parked transfer `id` (post-handshake under
+  /// rendezvous).
+  void start_pipeline(std::uint32_t id);
+  /// The receiver-channel leg of parked transfer `id`, starting no
+  /// earlier than `earliest`.
+  void recv_leg(std::uint32_t id, sim::Time earliest);
+  /// The send pipeline of parked transfer `id` finished: releases its
+  /// handle and resumes the handle's waiter.
+  void complete_send(std::uint32_t id);
+  /// Rendezvous: receiver granted parked transfer `id`; CTS travels back,
+  /// then the pipeline runs.  Called by Endpoint when a matching irecv is
+  /// posted.
+  void clear_to_send(std::uint32_t id);
   /// Blocking-path delivery; called by Endpoint::post_blocking.
   void start_blocking_transfer(Message m);
 
@@ -153,7 +176,9 @@ class Cluster {
   i64 peak_inflight_ = 0;
   i64 drop_index_ = -1;
   std::map<std::pair<int, int>, i64> traffic_;
-  std::set<void*> suspended_;
+  std::vector<void*> suspended_;  // one slot per rank
+  std::vector<Transfer> transfers_;
+  std::vector<std::uint32_t> free_transfers_;
 
   void track_sent(int src, int dst, i64 bytes);
   void track_delivered(i64 bytes);

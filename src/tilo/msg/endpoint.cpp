@@ -5,6 +5,17 @@
 
 namespace tilo::msg {
 
+namespace {
+
+/// The oldest entry under `key` in a FIFO multimap, or end().
+template <typename Map, typename Key>
+auto oldest(Map& map, const Key& key) {
+  auto it = map.lower_bound(key);
+  return it != map.end() && it->first == key ? it : map.end();
+}
+
+}  // namespace
+
 Endpoint::Endpoint(Cluster& cluster, int rank)
     : cluster_(&cluster), rank_(rank) {}
 
@@ -43,25 +54,22 @@ std::shared_ptr<RecvHandle> Endpoint::irecv(int src, i64 tag) {
   handle->tag = tag;
 
   const Key key{src, tag};
-  auto it = arrived_.find(key);
-  if (it != arrived_.end() && !it->second.empty()) {
-    Message m = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) arrived_.erase(it);
+  auto it = oldest(arrived_, key);
+  if (it != arrived_.end()) {
     handle->ready = true;
-    handle->payload = std::move(m.payload);
-    handle->bytes = m.bytes;
+    handle->payload = std::move(it->second.payload);
+    handle->bytes = it->second.bytes;
+    arrived_.erase(it);
     return handle;
   }
-  posted_[key].push_back(handle);
+  posted_.emplace(key, handle);
   if (cluster_->protocol() == Protocol::kRendezvous) {
-    auto rts = rts_pending_.find(key);
-    if (rts != rts_pending_.end() && !rts->second.empty()) {
+    auto rts = oldest(rts_pending_, key);
+    if (rts != rts_pending_.end()) {
       // A sender is parked on this key: grant its clear-to-send now.
-      auto [message, sender] = std::move(rts->second.front());
-      rts->second.pop_front();
-      if (rts->second.empty()) rts_pending_.erase(rts);
-      cluster_->clear_to_send(std::move(message), std::move(sender));
+      const std::uint32_t id = rts->second;
+      rts_pending_.erase(rts);
+      cluster_->clear_to_send(id);
     } else {
       ++ungranted_posted_[key];
     }
@@ -69,15 +77,16 @@ std::shared_ptr<RecvHandle> Endpoint::irecv(int src, i64 tag) {
   return handle;
 }
 
-void Endpoint::rts_arrived(Message m, std::shared_ptr<SendHandle> handle) {
+void Endpoint::rts_arrived(std::uint32_t id) {
+  const Message& m = cluster_->transfers_[id].message;
   const Key key{m.src, m.tag};
   auto it = ungranted_posted_.find(key);
   if (it != ungranted_posted_.end() && it->second > 0) {
     if (--it->second == 0) ungranted_posted_.erase(it);
-    cluster_->clear_to_send(std::move(m), std::move(handle));
+    cluster_->clear_to_send(id);
     return;
   }
-  rts_pending_[key].emplace_back(std::move(m), std::move(handle));
+  rts_pending_.emplace(key, id);
 }
 
 void Endpoint::when_done(const std::shared_ptr<SendHandle>& h, Waiter fn) {
@@ -112,11 +121,10 @@ void Endpoint::post_blocking(int dst, i64 tag, i64 bytes, Payload payload) {
 void Endpoint::deliver(Message m) {
   cluster_->track_delivered(m.bytes);
   const Key key{m.src, m.tag};
-  auto it = posted_.find(key);
-  if (it != posted_.end() && !it->second.empty()) {
-    std::shared_ptr<RecvHandle> h = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) posted_.erase(it);
+  auto it = oldest(posted_, key);
+  if (it != posted_.end()) {
+    std::shared_ptr<RecvHandle> h = std::move(it->second);
+    posted_.erase(it);
     h->ready = true;
     h->payload = std::move(m.payload);
     h->bytes = m.bytes;
@@ -127,7 +135,7 @@ void Endpoint::deliver(Message m) {
     }
     return;
   }
-  arrived_[key].push_back(std::move(m));
+  arrived_.emplace(key, std::move(m));
 }
 
 }  // namespace tilo::msg

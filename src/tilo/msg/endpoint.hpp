@@ -12,7 +12,7 @@
 // after which the message is "kernel-ready" and a matching irecv completes.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -103,20 +103,24 @@ class Endpoint {
   /// kernel-ready.
   void deliver(Message m);
 
-  /// Rendezvous protocol: a request-to-send reached this rank.  Grants a
-  /// clear-to-send immediately when an ungranted matching receive is
-  /// posted; otherwise parks the request until irecv.
-  void rts_arrived(Message m, std::shared_ptr<SendHandle> handle);
+  /// Rendezvous protocol: the request-to-send of the cluster's parked
+  /// transfer `id` reached this rank.  Grants a clear-to-send immediately
+  /// when an ungranted matching receive is posted; otherwise parks the
+  /// request until irecv.
+  void rts_arrived(std::uint32_t id);
 
   Cluster* cluster_;
   int rank_;
 
+  // Unmatched messages and receives, one node each.  A multimap inserts at
+  // the end of a key's range, so the range's first entry is the oldest and
+  // matching is FIFO within a key.
   using Key = std::pair<int, i64>;  // (src, tag)
-  std::map<Key, std::deque<Message>> arrived_;
-  std::map<Key, std::deque<std::shared_ptr<RecvHandle>>> posted_;
-  // Rendezvous bookkeeping: parked senders and not-yet-granted receives.
-  std::map<Key, std::deque<std::pair<Message, std::shared_ptr<SendHandle>>>>
-      rts_pending_;
+  std::multimap<Key, Message> arrived_;
+  std::multimap<Key, std::shared_ptr<RecvHandle>> posted_;
+  // Rendezvous bookkeeping: parked senders (cluster transfer ids) and
+  // not-yet-granted receives.
+  std::multimap<Key, std::uint32_t> rts_pending_;
   std::map<Key, int> ungranted_posted_;
 };
 

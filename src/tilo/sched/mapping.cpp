@@ -60,6 +60,20 @@ i64 ProcessorMapping::rank_of_proc(const Vec& p) const {
   return rank;
 }
 
+i64 ProcessorMapping::rank_of_tile(const Vec& t) const {
+  TILO_REQUIRE(tile_space_.contains(t), "tile ", t.str(),
+               " outside tile space");
+  i64 rank = 0;
+  for (std::size_t d = 0; d < dims(); ++d) {
+    const i64 p =
+        d == mapped_dim_ ? 0 : (t[d] - tile_space_.lo()[d]) / block_[d];
+    TILO_REQUIRE(p >= 0 && p < procs_[d], "proc coordinate ", p,
+                 " of tile ", t.str(), " out of grid ", procs_.str());
+    rank = util::checked_add(util::checked_mul(rank, procs_[d]), p);
+  }
+  return rank;
+}
+
 Vec ProcessorMapping::proc_of_rank(i64 rank) const {
   TILO_REQUIRE(rank >= 0 && rank < num_ranks(), "rank ", rank,
                " out of range");

@@ -47,7 +47,9 @@ class ProcessorMapping {
   i64 rank_of_proc(const Vec& p) const;
   Vec proc_of_rank(i64 rank) const;
 
-  i64 rank_of_tile(const Vec& t) const { return rank_of_proc(proc_of_tile(t)); }
+  /// rank_of_proc(proc_of_tile(t)), without building the coordinate Vec
+  /// (the executors call it once per message).
+  i64 rank_of_tile(const Vec& t) const;
 
   /// The sub-box of tile space owned by a rank (full extent along the
   /// mapping dimension).

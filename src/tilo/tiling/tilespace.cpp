@@ -1,5 +1,8 @@
 #include "tilo/tiling/tilespace.hpp"
 
+#include <algorithm>
+#include <tuple>
+
 #include "tilo/util/error.hpp"
 
 namespace tilo::tile {
@@ -28,7 +31,20 @@ TiledSpace::TiledSpace(const loop::LoopNest& nest, RectTiling tiling)
 Box TiledSpace::tile_iterations(const Vec& t) const {
   TILO_REQUIRE(tile_space_.contains(t), "tile ", t.str(),
                " outside tile space ", tile_space_.str());
-  return tiling_.tile_box(t).intersect(domain_);
+  Vec lo(dims());
+  Vec hi(dims());
+  for (std::size_t d = 0; d < dims(); ++d)
+    std::tie(lo[d], hi[d]) = axis_bounds(d, t[d]);
+  return Box(std::move(lo), std::move(hi));
+}
+
+std::pair<i64, i64> TiledSpace::axis_bounds(std::size_t d, i64 c) const {
+  // tiling_.tile_box(t).intersect(domain_), one axis at a time.
+  const i64 side = tiling_.sides()[d];
+  const i64 origin = util::checked_mul(c, side);
+  return {std::max(origin, domain_.lo()[d]),
+          std::min(util::checked_sub(util::checked_add(origin, side), 1),
+                   domain_.hi()[d])};
 }
 
 bool TiledSpace::is_partial(const Vec& t) const {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "tilo/loopnest/nest.hpp"
@@ -39,6 +40,11 @@ class TiledSpace {
   /// The iteration points of tile t: the tile's box clipped to the domain.
   /// Boundary tiles may be partial; interior tiles have volume g.
   Box tile_iterations(const Vec& t) const;
+
+  /// Bounds [lo, hi] along dimension d of the domain-clipped box of any
+  /// tile whose d-th coordinate is c: one axis of tile_iterations, computed
+  /// without building a Box.  c must lie in the tile space (unchecked).
+  std::pair<i64, i64> axis_bounds(std::size_t d, i64 c) const;
 
   /// True when tile t is clipped by the domain boundary.
   bool is_partial(const Vec& t) const;

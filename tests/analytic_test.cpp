@@ -98,7 +98,7 @@ TEST(AnalyticTest, CpuBoundFlagMatchesSides) {
 
 TEST(AnalyticTest, SingleProcessorHasNoCommunicationTerms) {
   Problem p{loop::stencil3d_nest(8, 8, 128),
-            mach::MachineParams::paper_cluster(), Vec{1, 1, 1}};
+            mach::MachineParams::paper_cluster(), Vec{1, 1, 1}, nullptr};
   const AnalyticModel m = core::derive_analytic_model(p);
   EXPECT_DOUBLE_EQ(m.a0, 0.0);
   EXPECT_DOUBLE_EQ(m.b0, 0.0);
@@ -113,6 +113,6 @@ TEST(AnalyticTest, SingleProcessorHasNoCommunicationTerms) {
 TEST(AnalyticTest, RejectsNegativeDependencies) {
   Problem p{loop::LoopNest("neg", lat::Box::from_extents(Vec{16, 16}),
                            loop::DependenceSet({Vec{1, -1}})),
-            mach::MachineParams::paper_cluster(), Vec{1, 4}};
+            mach::MachineParams::paper_cluster(), Vec{1, 4}, nullptr};
   EXPECT_THROW(core::derive_analytic_model(p), util::Error);
 }

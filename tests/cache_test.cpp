@@ -50,7 +50,8 @@ TEST(CacheModelTest, SimulatedPenaltyRatioMatchesTheModelFactor) {
   // compute-bound configuration (ratios cancel the border effects that
   // make absolute completion-time comparisons loose on short pipelines).
   core::Problem p{loop::stencil3d_nest(16, 16, 2048),
-                  mach::MachineParams::paper_cluster(), Vec{4, 4, 1}};
+                  mach::MachineParams::paper_cluster(), Vec{4, 4, 1},
+                  nullptr};
   const exec::TilePlan plan = p.plan(512, ScheduleKind::kOverlap);
   const double t_plain = exec::run_plan(p.nest, plan, p.machine).seconds;
   p.machine.cache = CacheModel{8 * 1024, 3.0};
@@ -68,7 +69,8 @@ TEST(CacheModelTest, OptimalTileHeightShrinksUnderASmallCache) {
   // The classic effect: the cache bends the right side of the U-curve
   // upward, pulling V_optimal toward smaller tiles.
   core::Problem p{loop::stencil3d_nest(16, 16, 4096),
-                  mach::MachineParams::paper_cluster(), Vec{4, 4, 1}};
+                  mach::MachineParams::paper_cluster(), Vec{4, 4, 1},
+                  nullptr};
   const core::Autotune no_cache = core::autotune_tile_height(
       p, ScheduleKind::kOverlap, 16, p.max_tile_height() / 4);
   // 2 KiB capacity: the cache-less optimum (~10 KiB tiles) spills hard.

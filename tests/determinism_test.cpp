@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "tilo/core/plancache.hpp"
@@ -22,6 +23,10 @@ using tilo::core::Problem;
 using tilo::core::ScheduleKind;
 using tilo::core::SweepOptions;
 using tilo::core::SweepPoint;
+using tilo::lat::Box;
+using tilo::lat::Vec;
+using tilo::loop::DependenceSet;
+using tilo::loop::LoopNest;
 using tilo::util::i64;
 
 Problem problem_for_space(int space) {
@@ -198,6 +203,50 @@ TEST(DeterminismTest, PlanCacheDoesNotPerturbSweep) {
       tilo::core::sweep_tile_height(problem, heights, cached);
   expect_points_identical(base, again);
   EXPECT_EQ(cache.misses(), misses_before);
+}
+
+TEST(DeterminismTest, ReusedWorkspaceMatchesFreshRunForAnotherNest) {
+  // Two nests over one domain, processor grid and tile height whose
+  // dependences differ, so their messages differ.  The comm table a run
+  // leaves in a workspace — or in a sweep thread's persistent arena — must
+  // not serve the other nest.
+  const Box domain = Box::from_extents(Vec{16, 16, 2048});
+  const auto machine = tilo::mach::MachineParams::paper_cluster();
+  const Problem a{
+      LoopNest("a", domain,
+               DependenceSet({Vec{1, 0, 0}, Vec{0, 1, 0}, Vec{0, 0, 1}})),
+      machine, Vec{4, 4, 1}, nullptr};
+  const Problem b{
+      LoopNest("b", domain,
+               DependenceSet({Vec{1, 1, 0}, Vec{0, 1, 0}, Vec{0, 0, 2}})),
+      machine, Vec{4, 4, 1}, nullptr};
+  const i64 V = 64;
+
+  for (const ScheduleKind kind :
+       {ScheduleKind::kOverlap, ScheduleKind::kNonOverlap}) {
+    const tilo::exec::TilePlan plan_a = a.plan(V, kind);
+    const tilo::exec::TilePlan plan_b = b.plan(V, kind);
+    const tilo::exec::RunResult fresh =
+        tilo::exec::run_plan(b.nest, plan_b, b.machine);
+    tilo::exec::RunWorkspace ws;
+    tilo::exec::run_plan(a.nest, plan_a, a.machine, {}, &ws);
+    const tilo::exec::RunResult reused =
+        tilo::exec::run_plan(b.nest, plan_b, b.machine, {}, &ws);
+    EXPECT_EQ(reused.completion, fresh.completion);
+    EXPECT_EQ(reused.messages, fresh.messages);
+    EXPECT_EQ(reused.bytes, fresh.bytes);
+  }
+
+  // The same through the sweep: this thread's arena has seen nest a, a
+  // new thread's has not.
+  const std::vector<i64> heights{V};
+  std::vector<SweepPoint> fresh_points;
+  std::thread([&] {
+    fresh_points = tilo::core::sweep_tile_height(b, heights);
+  }).join();
+  (void)tilo::core::sweep_tile_height(a, heights);
+  expect_points_identical(fresh_points,
+                          tilo::core::sweep_tile_height(b, heights));
 }
 
 TEST(DeterminismTest, ParallelAutotuneIdenticalToSerial) {

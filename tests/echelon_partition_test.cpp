@@ -37,7 +37,9 @@ void check_echelon_invariants(const Mat& a, const ColumnEchelon& e) {
       continue;
     }
     EXPECT_FALSE(seen_zero) << "nonzero column after a zero column";
-    if (c > 0 && c <= e.rank) EXPECT_GT(p, last);
+    if (c > 0 && c <= e.rank) {
+      EXPECT_GT(p, last);
+    }
     last = p;
     EXPECT_GT(e.h(p, c), 0) << "pivot must be positive";
     // Entries right of the pivot in its row are zero.

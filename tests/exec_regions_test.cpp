@@ -3,8 +3,11 @@
 // of every tile is covered by some incoming region.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
+#include "tilo/core/problem.hpp"
 #include "tilo/exec/plan.hpp"
 #include "tilo/exec/regions.hpp"
 #include "tilo/loopnest/workloads.hpp"
@@ -128,6 +131,130 @@ TEST(RegionsTest, IncomingRegionsCoverAllCrossTileReads) {
       }
     });
   });
+}
+
+namespace {
+
+/// Checks the timed runs' class table against the region path on every tile
+/// of `space`: for each tile, its outgoing and incoming (offset, points,
+/// dir) lists must equal outgoing()/incoming() with the regions summed by
+/// region_points, entry for entry and in order.  Returns the number of
+/// tiles compared.
+i64 expect_summaries_match_regions(const TiledSpace& space,
+                                   const std::string& what) {
+  exec::CommSummaries table;
+  table.build(space);
+  EXPECT_TRUE(table.matches(space)) << what;
+  i64 tiles = 0;
+  int failures = 0;
+  space.for_each_tile([&](const Vec& t) {
+    ++tiles;
+    for (const bool inbound : {false, true}) {
+      const std::vector<TileComm> ref = inbound ? exec::incoming(space, t)
+                                                : exec::outgoing(space, t);
+      const std::vector<TileComm>& got =
+          inbound ? table.incoming(t) : table.outgoing(t);
+      bool same = got.size() == ref.size();
+      for (std::size_t i = 0; same && i < ref.size(); ++i) {
+        same = got[i].offset == ref[i].offset && got[i].dir == ref[i].dir &&
+               got[i].points == exec::region_points(ref[i].regions) &&
+               got[i].regions.empty();
+      }
+      // Report the first few mismatches only.
+      if (!same && ++failures <= 5)
+        ADD_FAILURE() << what << ": tile " << t.str()
+                      << (inbound ? " incoming" : " outgoing")
+                      << " summaries differ from the region path";
+    }
+  });
+  EXPECT_EQ(failures, 0) << what;
+  return tiles;
+}
+
+TiledSpace space_of(const core::Problem& problem, i64 V) {
+  return TiledSpace(problem.nest, RectTiling(problem.tile_sides(V)));
+}
+
+}  // namespace
+
+TEST(CommSummariesTest, PaperSpacesMatchRegionPathOnEveryTile) {
+  // V = 197 leaves a clipped last tile along k; 64 divides every k extent.
+  for (const i64 V : {i64{197}, i64{64}}) {
+    EXPECT_GT(expect_summaries_match_regions(
+                  space_of(core::paper_problem_i(), V), "space (i)"),
+              0);
+    EXPECT_GT(expect_summaries_match_regions(
+                  space_of(core::paper_problem_ii(), V), "space (ii)"),
+              0);
+    EXPECT_GT(expect_summaries_match_regions(
+                  space_of(core::paper_problem_iii(), V), "space (iii)"),
+              0);
+  }
+}
+
+TEST(CommSummariesTest, RandomNestsMatchRegionPathOnEveryTile) {
+  // Seeded random dependence shapes on shifted domains (lower bounds off
+  // 0, some negative), with tile sides chosen so each dimension has 1 to 6
+  // tiles and boundary tiles are clipped on both sides.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    util::Rng rng(seed);
+    loop::RandomNestOptions opts;
+    opts.dims = static_cast<std::size_t>(2 + seed % 3);
+    opts.num_deps = static_cast<std::size_t>(rng.uniform(1, 4));
+    opts.min_extent = 4;
+    opts.max_extent = 20;
+    const LoopNest base = loop::random_nest(rng, opts);
+    const std::size_t n = base.dims();
+    Vec lo(n), hi(n), sides(n);
+    for (std::size_t d = 0; d < n; ++d) {
+      const i64 shift = rng.uniform(-7, 7);
+      lo[d] = base.domain().lo()[d] + shift;
+      hi[d] = base.domain().hi()[d] + shift;
+      const i64 extent = hi[d] - lo[d] + 1;
+      const i64 tiles = rng.uniform(1, 6);
+      sides[d] = std::max((extent + tiles - 1) / tiles,
+                          base.deps().max_component(d) + 1);
+    }
+    const LoopNest nest("shifted", Box(lo, hi), base.deps());
+    const TiledSpace space(nest, RectTiling(sides));
+    expect_summaries_match_regions(
+        space, "seed " + std::to_string(seed) + " " + space.tile_space().str());
+  }
+}
+
+TEST(CommSummariesTest, LowTileClippedBelowADependenceMatchesRegionPath) {
+  // Domain [2, 13] x [0, 8] with side 3: tile 0 along dimension 0 keeps the
+  // single row 2, thinner than the dependence (2, 0), so tile 1 receives
+  // one row from it, not two — the second coordinate of a dimension is a
+  // boundary class of its own.
+  const LoopNest nest("clipped", Box(Vec{2, 0}, Vec{13, 8}),
+                      DependenceSet({Vec{2, 0}, Vec{0, 1}, Vec{1, 1}}));
+  const TiledSpace space(nest, RectTiling(Vec{3, 3}));
+  EXPECT_EQ(space.tile_iterations(Vec{0, 0}).extent(0), 1);
+  expect_summaries_match_regions(space, "clipped low tile");
+  exec::CommSummaries table;
+  table.build(space);
+  const auto points_from_below = [&](const Vec& t) {
+    for (const TileComm& in : table.incoming(t))
+      if (in.offset == Vec{1, 0}) return in.points;
+    return i64{-1};
+  };
+  // Rows {2} vs {4, 5} for (2, 0), plus two points for (1, 1).
+  EXPECT_EQ(points_from_below(Vec{1, 1}), 3 + 2);
+  EXPECT_EQ(points_from_below(Vec{2, 1}), 6 + 2);
+}
+
+TEST(CommSummariesTest, TableIsKeyedOnTheDependences) {
+  const Box domain = Box::from_extents(Vec{12, 12});
+  const LoopNest thin("thin", domain, DependenceSet({Vec{1, 0}}));
+  const LoopNest thick("thick", domain, DependenceSet({Vec{2, 0}}));
+  const TiledSpace a(thin, RectTiling(Vec{4, 4}));
+  const TiledSpace b(thick, RectTiling(Vec{4, 4}));
+  exec::CommSummaries table;
+  EXPECT_FALSE(table.matches(a));
+  table.build(a);
+  EXPECT_TRUE(table.matches(a));
+  EXPECT_FALSE(table.matches(b));  // same sides and domain, other deps
 }
 
 TEST(PlanTest, ScheduleLengthUsesClosedForms) {

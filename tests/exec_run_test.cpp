@@ -34,6 +34,12 @@ mach::MachineParams fast_params() {
   return p;
 }
 
+RunOptions functional_run() {
+  RunOptions opts;
+  opts.functional = true;
+  return opts;
+}
+
 }  // namespace
 
 TEST(ExecFunctionalTest, Stencil3DBothSchedulesMatchSequential) {
@@ -83,7 +89,7 @@ TEST(ExecFunctionalTest, SingleRankDegenerateCase) {
   const TilePlan plan = exec::make_plan_with_procs(
       nest, RectTiling(Vec{4, 4, 2}), ScheduleKind::kOverlap, Vec{1, 1, 1});
   const RunResult r = exec::run_plan(nest, plan, fast_params(),
-                                     RunOptions{.functional = true});
+                                     functional_run());
   EXPECT_EQ(r.messages, 0);  // everything is rank-local
   EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_params()), 0.0);
 }
@@ -145,9 +151,29 @@ TEST(ExecTimedTest, FunctionalAndTimedRunsHaveIdenticalTiming) {
         exec::make_plan(nest, RectTiling(Vec{4, 4, 4}), kind);
     const RunResult timed = exec::run_plan(nest, plan, fast_params());
     const RunResult func = exec::run_plan(nest, plan, fast_params(),
-                                          RunOptions{.functional = true});
+                                          functional_run());
     EXPECT_EQ(timed.completion, func.completion);
     EXPECT_EQ(timed.messages, func.messages);
+  }
+}
+
+TEST(ExecTimedTest, TimedMatchesFunctionalWhenLowTileIsThinnerThanADep) {
+  // Domain rows 2..13 tiled by 3: the first tile row keeps only row 2,
+  // thinner than the dependence (2, 0), so the second tile row receives
+  // less from it than an interior row does.  The timed comm table must
+  // size those messages like the functional region lists.
+  const LoopNest nest("clipped", Box(Vec{2, 0}, Vec{13, 8}),
+                      DependenceSet({Vec{2, 0}, Vec{0, 1}, Vec{1, 1}}),
+                      std::make_shared<loop::SumKernel>(0.2));
+  for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
+    const TilePlan plan = exec::make_plan_explicit(
+        nest, RectTiling(Vec{3, 3}), kind, 1, Vec{4, 1});
+    const RunResult timed = exec::run_plan(nest, plan, fast_params());
+    const RunResult func =
+        exec::run_plan(nest, plan, fast_params(), functional_run());
+    EXPECT_EQ(timed.completion, func.completion);
+    EXPECT_EQ(timed.bytes, func.bytes);
+    EXPECT_EQ(timed.traffic, func.traffic);
   }
 }
 
@@ -268,7 +294,7 @@ TEST(ExecErrorTest, FunctionalNeedsKernel) {
   const TilePlan plan = exec::make_plan(bare, RectTiling(Vec{4, 4}),
                                         ScheduleKind::kOverlap);
   EXPECT_THROW(exec::run_plan(bare, plan, fast_params(),
-                              RunOptions{.functional = true}),
+                              functional_run()),
                util::Error);
 }
 

@@ -97,12 +97,14 @@ TEST(HighDimTest, OneDimensionalDegenerateChain) {
   const LoopNest nest("chain", Box::from_extents(Vec{64}),
                       DependenceSet({Vec{1}}),
                       std::make_shared<loop::SumKernel>(0.5));
+  exec::RunOptions functional;
+  functional.functional = true;
   for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
     const exec::TilePlan plan =
         exec::make_plan(nest, RectTiling(Vec{8}), kind);
     EXPECT_EQ(plan.mapping.num_ranks(), 1);
-    const exec::RunResult r = exec::run_plan(
-        nest, plan, tiny_params(), exec::RunOptions{.functional = true});
+    const exec::RunResult r =
+        exec::run_plan(nest, plan, tiny_params(), functional);
     EXPECT_EQ(r.messages, 0);
     EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, tiny_params()),
                      0.0);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "tilo/msg/cluster.hpp"
 #include "tilo/msg/endpoint.hpp"
@@ -204,6 +205,29 @@ TEST(MatchingTest, SameTagFifoWithinKey) {
   auto h1 = c.node(1).irecv(0, 5);
   auto h2 = c.node(1).irecv(0, 5);
   ASSERT_TRUE(h1->ready && h2->ready);
+  EXPECT_DOUBLE_EQ((*h1->payload.data)[0], 1.0);
+  EXPECT_DOUBLE_EQ((*h2->payload.data)[0], 2.0);
+}
+
+TEST(MatchingTest, PostedReceivesMatchFifoWithinKey) {
+  // The other half of SameTagFifoWithinKey: both receives are posted
+  // before either message is sent, so each arrival matches the oldest
+  // posted receive on its (src, tag) key.
+  Cluster c(2, test_params());
+  auto h1 = c.node(1).irecv(0, 5);
+  auto h2 = c.node(1).irecv(0, 5);
+  std::vector<int> completed;
+  msg::Endpoint::when_ready(h1, [&] { completed.push_back(1); });
+  msg::Endpoint::when_ready(h2, [&] { completed.push_back(2); });
+  auto p1 = std::make_shared<std::vector<double>>(std::vector<double>{1.0});
+  auto p2 = std::make_shared<std::vector<double>>(std::vector<double>{2.0});
+  c.engine().at(0, [&] {
+    c.node(0).isend(1, 5, 8, msg::Payload{p1});
+    c.node(0).isend(1, 5, 8, msg::Payload{p2});
+  });
+  c.run();
+  ASSERT_TRUE(h1->ready && h2->ready);
+  EXPECT_EQ(completed, (std::vector<int>{1, 2}));
   EXPECT_DOUBLE_EQ((*h1->payload.data)[0], 1.0);
   EXPECT_DOUBLE_EQ((*h2->payload.data)[0], 2.0);
 }

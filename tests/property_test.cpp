@@ -178,7 +178,7 @@ TEST_P(SchedulePropertiesTest, CpuBoundPredictionTracksSimulation) {
   const i64 V = 32 << (GetParam() % 4);  // 32, 64, 128, 256
   const core::Problem p{loop::stencil3d_nest(16, 16, 4096),
                         mach::MachineParams::paper_cluster(),
-                        Vec{4, 4, 1}};
+                        Vec{4, 4, 1}, nullptr};
   const exec::TilePlan plan = p.plan(V, ScheduleKind::kOverlap);
   const double predicted = core::predict_completion(plan, p.machine);
   const double simulated = exec::run_plan(p.nest, plan, p.machine).seconds;

@@ -177,11 +177,11 @@ TEST(PruneSelectTest, RandomInstancesMatchExhaustive) {
     const loop::LoopNest nest = loop::random_nest(rng, nopts);
 
     mach::MachineParams machine = mach::MachineParams::paper_cluster();
-    const Problem probe{nest, machine, Vec(nest.dims(), 1)};
+    const Problem probe{nest, machine, Vec(nest.dims(), 1), nullptr};
     Vec procs(nest.dims(), 1);
     for (std::size_t d = 0; d < nest.dims(); ++d)
       if (d != probe.mapped_dim()) procs[d] = rng.uniform(1, 4);
-    const Problem problem{nest, machine, procs};
+    const Problem problem{nest, machine, procs, nullptr};
     if (problem.max_tile_height() < 8) continue;
 
     // Legal heights only: every tile side must exceed the largest
