@@ -42,8 +42,8 @@ int main() {
               << "  P(g) = " << plan.schedule_length()
               << "  simulated = " << util::fmt_seconds(timed.seconds)
               << "  predicted = "
-              << util::fmt_seconds(
-                     core::predict_completion(plan, problem.machine))
+              << util::fmt_seconds(core::predict_completion(
+                     plan, mach::IdealOverlapModel(problem.machine)))
               << "  messages = " << timed.messages
               << "  max |err| vs sequential = " << err << "\n";
   }

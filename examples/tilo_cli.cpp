@@ -28,7 +28,6 @@
 
 #include <thread>
 
-#include "tilo/core/plancache.hpp"
 #include "tilo/core/sweep.hpp"
 #include "tilo/fleet/controller.hpp"
 #include "tilo/fleet/unit.hpp"
@@ -244,8 +243,8 @@ constexpr Flag kFlags[] = {
        return true;
      }},
     {"--save-plan", "FILE",
-     "write the compiled plan (nest + machine + tiling) as JSON; with "
-     "--schedule both, saves the overlapping plan",
+     "write the compiled plan (nest + machine model + tiling) as JSON; "
+     "with --schedule both, saves the overlapping plan",
      [](CliOptions& c, const std::string& v) {
        c.save_plan_path = v;
        return !v.empty();
@@ -701,7 +700,7 @@ int run_load_plan(const CliOptions& cli) {
   ropts.sink = obs.attach(cli);
   const pipeline::Compiler compiler(ropts);
   const pipeline::ArtifactStore out =
-      compiler.replay(nest, bundle->machine, bundle->plan);
+      compiler.replay(nest, bundle->model, bundle->plan);
   const exec::TilePlan& plan = *out.plan().plan;
   print_schedule_line(plan.kind, out.backend().run->seconds, plan,
                       out.plan().predicted_seconds);
@@ -737,8 +736,6 @@ int run_scenario(const CliOptions& cli,
     return kExitBadInput;
   }
 
-  // One plan cache serves every workload of the batch.
-  core::PlanCache cache;
   obs::ChromeTraceSink chrome;
   obs::ReportSink report;
   obs::MultiSink fan;
@@ -748,7 +745,6 @@ int run_scenario(const CliOptions& cli,
   sopts.model = std::move(model);
   sopts.height = cli.height;
   sopts.auto_procs = cli.auto_procs;
-  sopts.plan_cache = &cache;
   if (!cli.run_overlap) sopts.kind = sched::ScheduleKind::kNonOverlap;
   if (!cli.trace_path.empty() || cli.report) sopts.sink = &fan;
 
@@ -758,8 +754,8 @@ int run_scenario(const CliOptions& cli,
   if (cli.report) {
     // ReportSink aggregates every span it sees, so a per-workload phase
     // table needs a reset between runs: compile one workload at a time
-    // through the same compiler (the shared cache and the flags' model
-    // still apply batch-wide).
+    // through the same compiler (the flags' model still applies
+    // batch-wide).
     stores.reserve(scenario->workloads.size());
     for (const pipeline::ScenarioWorkload& wl : scenario->workloads) {
       pipeline::ScenarioFile one;
@@ -1555,7 +1551,9 @@ int main(int argc, char** argv) {
                     << " for writing\n";
           return kExitFileIo;
         }
-        os << pipeline::plan_to_json(nest, machine, plan).dump() << '\n';
+        os << pipeline::plan_to_json(nest, machine, plan, model.get())
+                  .dump()
+           << '\n';
         std::cout << "  plan written to " << cli.save_plan_path << '\n';
       }
       // One trace file per schedule: suffix the kind when both run.

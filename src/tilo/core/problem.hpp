@@ -26,10 +26,10 @@ struct Problem {
   lat::Vec procs;
   /// Optional machine model refining `machine` (imperfect overlap,
   /// heterogeneous links, offload levels — see mach::Model).  nullptr is
-  /// the paper's ideal-overlap model over `machine` and keeps every
-  /// historical code path (and its bytes) untouched; an explicit
-  /// IdealOverlapModel is required to produce the same results
-  /// byte-for-byte (pinned by model_regression_test).
+  /// the paper's ideal-overlap model over `machine`: the sweeps and the
+  /// pipeline resolve it to an explicit IdealOverlapModel, which produces
+  /// the historical results byte-for-byte (pinned by
+  /// model_regression_test).
   std::shared_ptr<const mach::Model> model;
 
   /// The paper's mapping rule applied to the original domain: the dimension

@@ -54,6 +54,8 @@ struct SourceArtifact {
 };
 
 /// Analysis output: the nest bound to a machine and a processor grid.
+/// problem.model is never null here: every stage after Analysis costs
+/// through it.
 struct AnalysisArtifact {
   core::Problem problem;
   std::size_t mapped_dim = 0;  ///< the paper's largest-extent mapping rule
@@ -75,8 +77,7 @@ struct ScheduleArtifact {
   util::i64 length = 0;  ///< number of time hyperplanes P(g)
 };
 
-/// Lowering output: the executable plan (shared because it may be served
-/// from a core::PlanCache).
+/// Lowering output: the executable plan.
 struct PlanArtifact {
   std::shared_ptr<const exec::TilePlan> plan;
   double predicted_seconds = 0.0;  ///< eq. (3)/(4) for the plan's kind

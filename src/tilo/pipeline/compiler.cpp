@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "tilo/core/plancache.hpp"
 #include "tilo/core/predict.hpp"
 #include "tilo/loopnest/parse.hpp"
 #include "tilo/util/error.hpp"
@@ -49,6 +48,13 @@ void timed_stage(Stage stage, const CompileOptions& opts,
   }
 }
 
+/// The machine model a compile costs through: the options' own, or the
+/// ideal model over their machine.
+std::shared_ptr<const mach::Model> resolve_model(const CompileOptions& opts) {
+  if (opts.model) return opts.model;
+  return std::make_shared<const mach::IdealOverlapModel>(opts.machine);
+}
+
 BackendConfig backend_config(const CompileOptions& opts) {
   BackendConfig config;
   config.simulate = opts.simulate;
@@ -65,14 +71,11 @@ BackendConfig backend_config(const CompileOptions& opts) {
 void Compiler::run_stages(ArtifactStore& store, const CompileOptions& opts,
                           const std::string& label, int lane) const {
   const workload::Kind wkind = opts.workload_kind;
+  const std::shared_ptr<const mach::Model> model = resolve_model(opts);
 
   if (wkind == workload::Kind::kTileDag) {
     // DAG workloads skip Tiling/Scheduling/Lowering: the task graph is its
     // own dependence structure and the event engine schedules it directly.
-    const std::shared_ptr<const mach::Model> model =
-        opts.model ? opts.model
-                   : std::make_shared<const mach::IdealOverlapModel>(
-                         opts.machine);
     timed_stage(Stage::kFrontend, opts, label, lane, [&] {
       store.put(run_workload_frontend(store.source(Stage::kFrontend), wkind,
                                       opts.constraints));
@@ -120,10 +123,8 @@ void Compiler::run_stages(ArtifactStore& store, const CompileOptions& opts,
     });
   }
   timed_stage(Stage::kAnalysis, opts, label, lane, [&] {
-    store.put(run_analysis(store.nest(Stage::kAnalysis),
-                           opts.model ? opts.model->params() : opts.machine,
-                           opts.procs, opts.auto_procs, opts.kind,
-                           opts.model));
+    store.put(run_analysis(store.nest(Stage::kAnalysis), model, opts.procs,
+                           opts.auto_procs, opts.kind));
   });
   timed_stage(Stage::kTiling, opts, label, lane, [&] {
     store.put(run_tiling(store.analysis(Stage::kTiling), opts.height,
@@ -137,7 +138,7 @@ void Compiler::run_stages(ArtifactStore& store, const CompileOptions& opts,
     store.put(run_lowering(store.analysis(Stage::kLowering),
                            store.tiling(Stage::kLowering),
                            store.schedule(Stage::kLowering),
-                           opts.plan_cache, opts.comm.level));
+                           opts.comm.level));
     if (wkind == workload::Kind::kProjectiveNest)
       verify_projective_tiles(Stage::kLowering,
                               store.workload(Stage::kLowering),
@@ -169,17 +170,17 @@ ArtifactStore Compiler::compile_nest(const loop::LoopNest& nest) const {
 }
 
 ArtifactStore Compiler::replay(const loop::LoopNest& nest,
-                               const mach::MachineParams& machine,
+                               std::shared_ptr<const mach::Model> model,
                                const exec::TilePlan& plan) const {
+  if (!model) model = resolve_model(opts_);
   CompileOptions opts = opts_;
-  opts.machine = machine;
   opts.kind = plan.kind;
 
   ArtifactStore store;
   store.put(nest);
   timed_stage(Stage::kAnalysis, opts, std::string(), 0, [&] {
     store.put(AnalysisArtifact{
-        core::Problem{nest, machine, plan.mapping.procs(), nullptr},
+        core::Problem{nest, model->params(), plan.mapping.procs(), model},
         plan.mapped_dim, false});
   });
   timed_stage(Stage::kTiling, opts, std::string(), 0, [&] {
@@ -204,7 +205,7 @@ ArtifactStore Compiler::replay(const loop::LoopNest& nest,
                         schedule.length);
     store.put(PlanArtifact{
         std::make_shared<const exec::TilePlan>(plan),
-        core::predict_completion(plan, machine, opts.comm.level)});
+        core::predict_completion(plan, *model, opts.comm.level)});
   });
   timed_stage(Stage::kBackend, opts, std::string(), 0, [&] {
     store.put(run_backend(store.nest(Stage::kBackend),

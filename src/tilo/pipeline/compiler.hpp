@@ -9,10 +9,10 @@
 //   const exec::RunResult& r = *out.backend(Stage::kBackend).run;
 //
 // One Compiler invocation can also run a whole ScenarioFile (a batch of
-// workloads over one shared machine model and plan cache), or replay a
-// deserialized plan: replay() re-runs Scheduling verification and Lowering
-// consistency checks on the loaded plan before the Backend touches it, so
-// a corrupted plan file cannot reach the simulator.
+// workloads over one shared machine model), or replay a deserialized plan:
+// replay() re-runs Scheduling verification and Lowering consistency checks
+// on the loaded plan before the Backend touches it, so a corrupted plan
+// file cannot reach the simulator.
 #pragma once
 
 #include <string>
@@ -27,10 +27,9 @@ namespace tilo::pipeline {
 /// override procs/auto_procs/height/kind.
 struct CompileOptions {
   mach::MachineParams machine = mach::MachineParams::paper_cluster();
-  /// Optional machine model.  When set it supplies every cost (ranking,
-  /// prediction, simulation) and `machine` is ignored in favor of
-  /// model->params(); nullptr keeps the historical params path, which is
-  /// byte-identical to an explicit IdealOverlapModel.
+  /// Optional machine model.  It supplies every cost (ranking, prediction,
+  /// simulation), and `machine` is ignored in favor of model->params();
+  /// nullptr means an IdealOverlapModel over `machine`.
   std::shared_ptr<const mach::Model> model;
   std::optional<lat::Vec> procs;        ///< explicit grid
   std::optional<util::i64> auto_procs;  ///< planner budget (wins over procs)
@@ -50,10 +49,6 @@ struct CompileOptions {
   bool simulate = true;        ///< Backend: run the simulator
   bool emit_program = false;   ///< Backend: generate the C + MPI program
   gen::CodegenOptions codegen;
-  /// Optional plan cache (must outlive the Compiler calls).  A scenario
-  /// compile shares it across workloads, which requires a cache built with
-  /// PlanCache::Scope::kMultiProblem.
-  core::PlanCache* plan_cache = nullptr;
   /// Optional observer: every stage emits a wall-clock host span
   /// "pipeline.<Stage>" (suffixed "[<workload>]" in scenario compiles,
   /// lane = workload index) and bumps the "pipeline.stages" counter; the
@@ -78,10 +73,11 @@ class Compiler {
 
   /// Re-verifies and executes a deserialized plan: Scheduling legality and
   /// Lowering consistency run against the loaded plan (nothing is rebuilt),
-  /// then the Backend simulates it.  The plan's own kind and grid override
-  /// the compile options.
+  /// then the Backend simulates it under `model` (the plan's own machine
+  /// model, see PlanBundle; nullptr = the compile options' model).  The
+  /// plan's own kind and grid override the compile options.
   ArtifactStore replay(const loop::LoopNest& nest,
-                       const mach::MachineParams& machine,
+                       std::shared_ptr<const mach::Model> model,
                        const exec::TilePlan& plan) const;
 
   /// Compiles every workload of a scenario in one invocation; workload i's

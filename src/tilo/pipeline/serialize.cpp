@@ -238,12 +238,13 @@ loop::LoopNest nest_from_json(const Json& j) {
 
 Json plan_to_json(const loop::LoopNest& nest,
                   const mach::MachineParams& machine,
-                  const exec::TilePlan& plan) {
+                  const exec::TilePlan& plan, const mach::Model* model) {
   Json j = Json::object();
   j.set("tilo", Json::string("plan"));
   j.set("version", Json::integer(kSchemaVersion));
   j.set("nest", nest_to_json(nest));
   j.set("machine", machine_to_json(machine));
+  if (model && !model->ideal()) j.set("machine_model", model_to_json(*model));
   Json tiling = Json::object();
   tiling.set("sides", vec_to_json(plan.space.tiling().sides()));
   j.set("tiling", std::move(tiling));
@@ -257,6 +258,11 @@ PlanBundle plan_from_json(const Json& j) {
   check_envelope(j, "plan");
   loop::LoopNest nest = nest_from_json(j.at("nest"));
   mach::MachineParams machine = machine_from_json(j.at("machine"));
+  // As in scenario files, a "machine_model" envelope wins over "machine".
+  const Json* model_json = j.find("machine_model");
+  std::shared_ptr<const mach::Model> model =
+      model_json ? model_from_json(*model_json)
+                 : std::make_shared<const mach::IdealOverlapModel>(machine);
   const lat::Vec sides =
       vec_from_json(j.at("tiling").at("sides"), "tiling.sides");
   const i64 mapped = j.at("mapped_dim").as_integer("mapped_dim");
@@ -270,7 +276,8 @@ PlanBundle plan_from_json(const Json& j) {
   exec::TilePlan plan = exec::make_plan_explicit(
       nest, tile::RectTiling(sides), kind,
       static_cast<std::size_t>(mapped), std::move(procs));
-  return PlanBundle{std::move(nest), machine, std::move(plan)};
+  return PlanBundle{std::move(nest), machine, std::move(plan),
+                    std::move(model)};
 }
 
 Json recommendation_to_json(const core::Recommendation& rec) {
@@ -278,7 +285,7 @@ Json recommendation_to_json(const core::Recommendation& rec) {
   j.set("tilo", Json::string("recommendation"));
   j.set("version", Json::integer(kSchemaVersion));
   j.set("plan", plan_to_json(rec.problem.nest, rec.problem.machine,
-                             rec.plan));
+                             rec.plan, rec.problem.model.get()));
   j.set("V", Json::integer(rec.V));
   j.set("predicted_seconds", Json::number(rec.predicted_seconds));
   Json analytic = Json::object();
@@ -300,7 +307,7 @@ core::Recommendation recommendation_from_json(const Json& j) {
   analytic.t_predicted = a.at("t_predicted").as_number("t_predicted");
   analytic.cpu_bound = a.at("cpu_bound").as_bool("cpu_bound");
   core::Problem problem{bundle.nest, bundle.machine,
-                        bundle.plan.mapping.procs(), nullptr};
+                        bundle.plan.mapping.procs(), bundle.model};
   return core::Recommendation{std::move(problem), std::move(bundle.plan),
                               j.at("V").as_integer("V"),
                               j.at("predicted_seconds")

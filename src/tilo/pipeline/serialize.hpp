@@ -4,8 +4,8 @@
 // The writer is deterministic (fixed field order, exact %.17g doubles), so
 // serialize → deserialize → serialize is byte-identical — saved plans can
 // be diffed and used as cache keys.  A serialized plan is a self-contained
-// bundle (nest + machine + tiling + mapping + schedule kind): loading it
-// back reconstructs an exec::TilePlan that simulates to bit-identical
+// bundle (nest + machine model + tiling + mapping + schedule kind): loading
+// it back reconstructs an exec::TilePlan that simulates to bit-identical
 // results, and when the nest's body was printable the bundle carries its
 // source so functional replay works too.
 //
@@ -54,11 +54,20 @@ struct PlanBundle {
   loop::LoopNest nest;
   mach::MachineParams machine;
   exec::TilePlan plan;
+  /// The machine model the plan was compiled under (never null): the
+  /// document's "machine_model" envelope when it has one, else the ideal
+  /// model over `machine`.
+  std::shared_ptr<const mach::Model> model;
 };
 
+/// Writes a plan bundle.  A non-ideal `model` is written as a
+/// "machine_model" envelope next to `machine`; an ideal or absent model
+/// writes `machine` alone, which reads back as the ideal model over it (so
+/// ideal-model plans keep their historical bytes).
 Json plan_to_json(const loop::LoopNest& nest,
                   const mach::MachineParams& machine,
-                  const exec::TilePlan& plan);
+                  const exec::TilePlan& plan,
+                  const mach::Model* model = nullptr);
 PlanBundle plan_from_json(const Json& j);
 
 Json recommendation_to_json(const core::Recommendation& rec);

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "tilo/core/plancache.hpp"
 #include "tilo/core/predict.hpp"
 #include "tilo/loopnest/parse.hpp"
 #include "tilo/sched/tiled.hpp"
@@ -299,11 +298,10 @@ core::AnalyticOptimum analytic_for(const core::Problem& problem,
 }  // namespace
 
 AnalysisArtifact run_analysis(const loop::LoopNest& nest,
-                              const mach::MachineParams& machine,
+                              std::shared_ptr<const mach::Model> model,
                               const std::optional<Vec>& procs,
                               const std::optional<i64>& auto_procs,
-                              sched::ScheduleKind kind,
-                              std::shared_ptr<const mach::Model> model) {
+                              sched::ScheduleKind kind) {
   if (!nest.deps().is_nonneg())
     stage_fail(Stage::kAnalysis,
                util::concat("rectangular tiling needs nonnegative "
@@ -313,6 +311,7 @@ AnalysisArtifact run_analysis(const loop::LoopNest& nest,
                             nest.deps().str()));
 
   // The paper's rule: map along the dimension with the largest extent.
+  const mach::MachineParams& machine = model->params();
   const core::Problem probe{nest, machine, Vec(nest.dims(), 1), model};
   const std::size_t md = probe.mapped_dim();
 
@@ -339,10 +338,7 @@ AnalysisArtifact run_analysis(const loop::LoopNest& nest,
       const core::Problem candidate{nest, machine, g, model};
       const core::AnalyticOptimum opt = analytic_for(candidate, kind);
       const double predicted =
-          model ? core::predict_completion(candidate.plan(opt.V, kind),
-                                           *model)
-                : core::predict_completion(candidate.plan(opt.V, kind),
-                                           machine);
+          core::predict_completion(candidate.plan(opt.V, kind), *model);
       if (!best_grid || predicted < best_predicted) {
         best_grid = g;
         best_predicted = predicted;
@@ -441,21 +437,14 @@ ScheduleArtifact run_scheduling(const AnalysisArtifact& analysis,
 PlanArtifact run_lowering(const AnalysisArtifact& analysis,
                           const TilingArtifact& tiling,
                           const ScheduleArtifact& schedule,
-                          core::PlanCache* cache, mach::OverlapLevel level) {
+                          mach::OverlapLevel level) {
   const core::Problem& problem = analysis.problem;
-  std::shared_ptr<const exec::TilePlan> plan;
-  if (cache) {
-    plan = cache->get(problem, tiling.V, schedule.kind);
-  } else {
-    plan = std::make_shared<const exec::TilePlan>(
-        problem.plan(tiling.V, schedule.kind));
-  }
+  auto plan = std::make_shared<const exec::TilePlan>(
+      problem.plan(tiling.V, schedule.kind));
   verify_lowered_plan(Stage::kLowering, *plan, tiling.tiling,
                       analysis.mapped_dim, problem.procs, schedule.length);
   const double predicted =
-      problem.model
-          ? core::predict_completion(*plan, *problem.model, level)
-          : core::predict_completion(*plan, problem.machine, level);
+      core::predict_completion(*plan, *problem.model, level);
   return PlanArtifact{std::move(plan), predicted};
 }
 
@@ -477,12 +466,8 @@ BackendArtifact run_backend(const loop::LoopNest& nest,
     opts.comm = config.comm;
     opts.sink = config.sink;
     opts.tile_costs = config.tile_costs;
-    out.run = analysis.problem.model
-                  ? exec::run_plan(nest, *plan.plan, analysis.problem.model,
-                                   opts, config.workspace)
-                  : exec::run_plan(nest, *plan.plan,
-                                   analysis.problem.machine, opts,
-                                   config.workspace);
+    out.run = exec::run_plan(nest, *plan.plan, analysis.problem.model, opts,
+                             config.workspace);
   }
   if (config.emit_program)
     out.program = gen::generate_mpi_program(nest, *plan.plan, config.codegen);

@@ -23,10 +23,6 @@
 #include "tilo/codegen/mpi_program.hpp"
 #include "tilo/pipeline/artifact.hpp"
 
-namespace tilo::core {
-class PlanCache;
-}
-
 namespace tilo::pipeline {
 
 // ---------------------------------------------------------------- verifiers
@@ -102,18 +98,18 @@ DagPlanArtifact run_dag_analysis(
     const std::optional<util::i64>& auto_procs, const mach::Model& model);
 
 /// Analysis: validate the dependence model and bind the nest to a machine
-/// and a processor grid.  With `auto_procs`, enumerates every ordered
+/// model and a processor grid.  With `auto_procs`, enumerates every ordered
 /// factorization over the non-mapped dimensions (capped at one processor
 /// per dependence-respecting tile row) and keeps the grid whose candidate
 /// plan predicts the smallest completion time; otherwise uses `procs`
-/// (default: one processor everywhere).  `model` (optional) rides along on
-/// the produced Problem so downstream stages rank, predict and simulate
-/// under it; nullptr keeps the historical ideal-overlap params path.
-AnalysisArtifact run_analysis(
-    const loop::LoopNest& nest, const mach::MachineParams& machine,
-    const std::optional<lat::Vec>& procs,
-    const std::optional<util::i64>& auto_procs, sched::ScheduleKind kind,
-    std::shared_ptr<const mach::Model> model = nullptr);
+/// (default: one processor everywhere).  `model` (non-null) rides along on
+/// the produced Problem, with its params as the Problem's machine, so the
+/// downstream stages rank, predict and simulate under it.
+AnalysisArtifact run_analysis(const loop::LoopNest& nest,
+                              std::shared_ptr<const mach::Model> model,
+                              const std::optional<lat::Vec>& procs,
+                              const std::optional<util::i64>& auto_procs,
+                              sched::ScheduleKind kind);
 
 /// Tiling: choose the tile height (analytic optimum when `height` is
 /// empty), build the rectangular supernode, and verify H·P = I, legality
@@ -128,13 +124,11 @@ ScheduleArtifact run_scheduling(const AnalysisArtifact& analysis,
                                 const TilingArtifact& tiling,
                                 sched::ScheduleKind kind);
 
-/// Lowering: build (or fetch from `cache`) the exec::TilePlan, verify
-/// grid·mapping consistency and the P(g) cross-check, and attach the
-/// eq. (3)/(4) prediction at `level`.
+/// Lowering: build the exec::TilePlan, verify grid·mapping consistency and
+/// the P(g) cross-check, and attach the eq. (3)/(4) prediction at `level`.
 PlanArtifact run_lowering(const AnalysisArtifact& analysis,
                           const TilingArtifact& tiling,
                           const ScheduleArtifact& schedule,
-                          core::PlanCache* cache = nullptr,
                           mach::OverlapLevel level = mach::OverlapLevel::kDma);
 
 /// Backend knobs (the subset of compile options the Backend consumes).

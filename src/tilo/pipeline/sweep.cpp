@@ -15,7 +15,6 @@
 
 #include "tilo/core/analytic.hpp"
 #include "tilo/core/parallel.hpp"
-#include "tilo/core/plancache.hpp"
 #include "tilo/machine/optimize.hpp"
 #include "tilo/pipeline/stages.hpp"
 #include "tilo/util/error.hpp"
@@ -32,24 +31,29 @@ obs::Time wall_ns() {
       .count();
 }
 
-pipeline::BackendConfig backend_config(const SweepOptions& opts,
-                                       exec::RunWorkspace& workspace) {
-  pipeline::BackendConfig config;
-  config.comm = opts.comm;
-  config.sink = opts.sink;
-  config.workspace = &workspace;
-  return config;
+/// The Analysis artifact every sweep point runs on: the problem as given,
+/// with a null model resolved to the ideal model over its machine, so
+/// every stage below costs through one mach::Model.
+pipeline::AnalysisArtifact analysis_for(const Problem& problem) {
+  pipeline::AnalysisArtifact analysis{problem, problem.mapped_dim(), false};
+  if (!analysis.problem.model)
+    analysis.problem.model =
+        std::make_shared<const mach::IdealOverlapModel>(problem.machine);
+  return analysis;
 }
 
-/// One sweep sample: Tiling/Scheduling/Lowering for both kinds at this V,
-/// then both timed runs reusing the worker's workspace (the two runs share
-/// one tiled geometry, so the second reuses the comm table the first
-/// built).  Without a cache the tiling is still built only once — the
-/// non-overlap plan is the overlap plan with the kind flipped (geometry is
-/// kind-independent), re-verified before use.
+/// One sweep sample at height V: tile once, lower the requested kinds and
+/// attach their eq. (3)-(5) predictions, then simulate each lowered kind
+/// whose opts.run_* flag is set.  The runs reuse the worker's workspace
+/// (they share one tiled geometry, so the second reuses the comm table the
+/// first built).  With both kinds requested the non-overlap plan is the
+/// overlap plan with its kind flipped (geometry is kind-independent),
+/// re-verified before use.  A kind not requested keeps zero predictions
+/// and time.
 SweepPoint measure_point(const pipeline::AnalysisArtifact& analysis, i64 V,
                          const SweepOptions& opts,
-                         exec::RunWorkspace& workspace) {
+                         exec::RunWorkspace& workspace, bool overlap,
+                         bool nonoverlap) {
   SweepPoint pt;
   pt.V = V;
   const Problem& problem = analysis.problem;
@@ -58,83 +62,63 @@ SweepPoint measure_point(const pipeline::AnalysisArtifact& analysis, i64 V,
       pipeline::run_tiling(analysis, V, ScheduleKind::kOverlap);
   pt.g = tiling.tiling.tile_volume();
 
-  const pipeline::ScheduleArtifact sched_over =
-      pipeline::run_scheduling(analysis, tiling, ScheduleKind::kOverlap);
-  const pipeline::PlanArtifact over = pipeline::run_lowering(
-      analysis, tiling, sched_over, opts.plan_cache, opts.comm.level);
+  pipeline::PlanArtifact over;
+  if (overlap) {
+    const pipeline::ScheduleArtifact schedule =
+        pipeline::run_scheduling(analysis, tiling, ScheduleKind::kOverlap);
+    over = pipeline::run_lowering(analysis, tiling, schedule,
+                                  opts.comm.level);
+    pt.predicted_overlap = over.predicted_seconds;
+    pt.predicted_cpu_bound =
+        predict_overlap_cpu_bound(*over.plan, *problem.model);
+  }
 
-  const pipeline::ScheduleArtifact sched_nonover =
-      pipeline::run_scheduling(analysis, tiling, ScheduleKind::kNonOverlap);
   pipeline::PlanArtifact nonover;
-  if (opts.plan_cache) {
-    nonover = pipeline::run_lowering(analysis, tiling, sched_nonover,
-                                     opts.plan_cache, opts.comm.level);
-  } else {
-    auto flipped = std::make_shared<exec::TilePlan>(*over.plan);
-    flipped->kind = ScheduleKind::kNonOverlap;
-    pipeline::verify_lowered_plan(pipeline::Stage::kLowering, *flipped,
-                                  tiling.tiling, analysis.mapped_dim,
-                                  problem.procs, sched_nonover.length);
-    const double predicted =
-        problem.model ? predict_completion(*flipped, *problem.model)
-                      : predict_completion(*flipped, problem.machine);
-    nonover = pipeline::PlanArtifact{std::move(flipped), predicted};
+  if (nonoverlap) {
+    const pipeline::ScheduleArtifact schedule =
+        pipeline::run_scheduling(analysis, tiling, ScheduleKind::kNonOverlap);
+    if (overlap) {
+      auto flipped = std::make_shared<exec::TilePlan>(*over.plan);
+      flipped->kind = ScheduleKind::kNonOverlap;
+      pipeline::verify_lowered_plan(pipeline::Stage::kLowering, *flipped,
+                                    tiling.tiling, analysis.mapped_dim,
+                                    problem.procs, schedule.length);
+      const double predicted = predict_completion(*flipped, *problem.model);
+      nonover = pipeline::PlanArtifact{std::move(flipped), predicted};
+    } else {
+      nonover = pipeline::run_lowering(analysis, tiling, schedule,
+                                       opts.comm.level);
+    }
+    pt.predicted_nonoverlap = nonover.predicted_seconds;
   }
 
-  pt.predicted_overlap = over.predicted_seconds;
-  pt.predicted_nonoverlap = nonover.predicted_seconds;
-  pt.predicted_cpu_bound =
-      problem.model
-          ? predict_overlap_cpu_bound(*over.plan, *problem.model)
-          : predict_overlap_cpu_bound(*over.plan, problem.machine);
-
-  const pipeline::BackendConfig config = backend_config(opts, workspace);
-  if (opts.run_overlap) {
+  pipeline::BackendConfig config;
+  config.comm = opts.comm;
+  config.sink = opts.sink;
+  config.workspace = &workspace;
+  const auto simulate = [&](const pipeline::PlanArtifact& plan) {
     const pipeline::BackendArtifact b =
-        pipeline::run_backend(problem.nest, analysis, over, config);
-    pt.t_overlap = b.run->seconds;
+        pipeline::run_backend(problem.nest, analysis, plan, config);
     pt.events += b.run->events;
-  }
-  if (opts.run_nonoverlap) {
-    const pipeline::BackendArtifact b =
-        pipeline::run_backend(problem.nest, analysis, nonover, config);
-    pt.t_nonoverlap = b.run->seconds;
-    pt.events += b.run->events;
-  }
+    return b.run->seconds;
+  };
+  if (overlap && opts.run_overlap) pt.t_overlap = simulate(over);
+  if (nonoverlap && opts.run_nonoverlap) pt.t_nonoverlap = simulate(nonover);
   return pt;
 }
 
-double run_once(const pipeline::AnalysisArtifact& analysis, i64 V,
-                ScheduleKind kind, const SweepOptions& opts,
-                exec::RunWorkspace& workspace) {
-  const pipeline::TilingArtifact tiling =
-      pipeline::run_tiling(analysis, V, kind);
-  const pipeline::ScheduleArtifact schedule =
-      pipeline::run_scheduling(analysis, tiling, kind);
-  const pipeline::PlanArtifact plan = pipeline::run_lowering(
-      analysis, tiling, schedule, opts.plan_cache, opts.comm.level);
-  return pipeline::run_backend(analysis.problem.nest, analysis, plan,
-                               backend_config(opts, workspace))
-      .run->seconds;
-}
-
-pipeline::AnalysisArtifact analysis_for(const Problem& problem) {
-  return pipeline::AnalysisArtifact{problem, problem.mapped_dim(), false};
-}
-
-/// The ranking curves the pruning logic consults.  Null/ideal models keep
-/// the closed-form AnalyticModel (its bytes are the historical contract);
-/// a non-ideal Problem.model ranks with the model-aware analytic
-/// completion instead, so pruning decisions track the machine that will
-/// actually be simulated.
+/// The ranking curves the pruning logic consults.  Ideal models keep the
+/// closed-form AnalyticModel (its bytes are the historical contract); a
+/// non-ideal Problem.model ranks with the model-aware analytic completion
+/// instead, so pruning decisions track the machine that will actually be
+/// simulated.
 struct RankingCurves {
   const Problem& problem;
   const AnalyticModel& model;
   bool use_model;
 
   explicit RankingCurves(const Problem& p, const AnalyticModel& m)
-      : problem(p), model(m),
-        use_model(p.model != nullptr && !p.model->ideal()) {}
+      : problem(p), model(m), use_model(!p.model->ideal()) {}
 
   double overlap(i64 V) const {
     return use_model ? analytic_completion(problem, *problem.model, V,
@@ -153,84 +137,6 @@ struct RankingCurves {
                : (model.c0_overlap + model.k / v) * model.cpu_side(v);
   }
 };
-
-/// measure_point with per-kind control, for the pruned fast path: a kind
-/// outside the contending region is neither lowered nor simulated — its
-/// predictions come from the closed-form model instead of the plan.  With
-/// both kinds enabled this compiles and simulates exactly what
-/// measure_point does, so simulated fields are bit-identical to the
-/// exhaustive sweep's.
-SweepPoint measure_point_select(const pipeline::AnalysisArtifact& analysis,
-                                i64 V, const SweepOptions& opts,
-                                exec::RunWorkspace& workspace,
-                                bool do_overlap, bool do_nonoverlap,
-                                const RankingCurves& curves) {
-  SweepPoint pt;
-  pt.V = V;
-  const Problem& problem = analysis.problem;
-
-  const pipeline::TilingArtifact tiling =
-      pipeline::run_tiling(analysis, V, ScheduleKind::kOverlap);
-  pt.g = tiling.tiling.tile_volume();
-
-  const pipeline::BackendConfig config = backend_config(opts, workspace);
-
-  pipeline::PlanArtifact over;
-  if (do_overlap) {
-    const pipeline::ScheduleArtifact sched_over =
-        pipeline::run_scheduling(analysis, tiling, ScheduleKind::kOverlap);
-    over = pipeline::run_lowering(analysis, tiling, sched_over,
-                                  opts.plan_cache, opts.comm.level);
-    pt.predicted_overlap = over.predicted_seconds;
-    pt.predicted_cpu_bound =
-        problem.model
-            ? predict_overlap_cpu_bound(*over.plan, *problem.model)
-            : predict_overlap_cpu_bound(*over.plan, problem.machine);
-  } else {
-    pt.predicted_overlap = curves.overlap(V);
-    pt.predicted_cpu_bound = curves.cpu_bound(V);
-  }
-
-  pipeline::PlanArtifact nonover;
-  if (do_nonoverlap) {
-    const pipeline::ScheduleArtifact sched_nonover =
-        pipeline::run_scheduling(analysis, tiling, ScheduleKind::kNonOverlap);
-    if (opts.plan_cache) {
-      nonover = pipeline::run_lowering(analysis, tiling, sched_nonover,
-                                       opts.plan_cache, opts.comm.level);
-    } else if (do_overlap) {
-      auto flipped = std::make_shared<exec::TilePlan>(*over.plan);
-      flipped->kind = ScheduleKind::kNonOverlap;
-      pipeline::verify_lowered_plan(pipeline::Stage::kLowering, *flipped,
-                                    tiling.tiling, analysis.mapped_dim,
-                                    problem.procs, sched_nonover.length);
-      const double predicted =
-          problem.model ? predict_completion(*flipped, *problem.model)
-                        : predict_completion(*flipped, problem.machine);
-      nonover = pipeline::PlanArtifact{std::move(flipped), predicted};
-    } else {
-      nonover = pipeline::run_lowering(analysis, tiling, sched_nonover,
-                                       nullptr, opts.comm.level);
-    }
-    pt.predicted_nonoverlap = nonover.predicted_seconds;
-  } else {
-    pt.predicted_nonoverlap = curves.nonoverlap(V);
-  }
-
-  if (do_overlap) {
-    const pipeline::BackendArtifact b =
-        pipeline::run_backend(problem.nest, analysis, over, config);
-    pt.t_overlap = b.run->seconds;
-    pt.events += b.run->events;
-  }
-  if (do_nonoverlap) {
-    const pipeline::BackendArtifact b =
-        pipeline::run_backend(problem.nest, analysis, nonover, config);
-    pt.t_nonoverlap = b.run->seconds;
-    pt.events += b.run->events;
-  }
-  return pt;
-}
 
 bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
@@ -265,7 +171,8 @@ std::vector<SweepPoint> sweep_tile_height(const Problem& problem,
   parallel_for_index(
       threads, heights.size(), [&](int worker, std::size_t i) {
         const obs::Time t0 = opts.sink ? wall_ns() : 0;
-        out[i] = measure_point(analysis, heights[i], opts, arena_workspace());
+        out[i] = measure_point(analysis, heights[i], opts, arena_workspace(),
+                               true, true);
         if (opts.sink) {
           opts.sink->host_span("sweep V=" + std::to_string(heights[i]), t0,
                                wall_ns(), worker);
@@ -282,8 +189,8 @@ SweepSelection sweep_select(const Problem& problem,
                opts.prune_slack);
   const int threads = resolve_threads(opts.threads);
   const pipeline::AnalysisArtifact analysis = analysis_for(problem);
-  const AnalyticModel model = derive_analytic_model(problem);
-  const RankingCurves curves(problem, model);
+  const AnalyticModel model = derive_analytic_model(analysis.problem);
+  const RankingCurves curves(analysis.problem, model);
   const std::size_t n = heights.size();
 
   SweepSelection sel;
@@ -322,27 +229,22 @@ SweepSelection sweep_select(const Problem& problem,
       sel.simulated_nonoverlap[i] = 1;
   }
 
-  // Simulate the contenders; pruned points only pay a tiling (for g) and
-  // carry the model's predictions.  Index-keyed slots keep the result
+  // Simulate the contenders.  A pruned kind is neither lowered nor
+  // simulated and carries the ranking curves' predictions; a fully pruned
+  // point only pays a tiling (for g).  Index-keyed slots keep the result
   // independent of the worker interleaving, as in sweep_tile_height.
   parallel_for_index(threads, n, [&](int worker, std::size_t i) {
     const bool do_over = sel.simulated_overlap[i] != 0;
     const bool do_non = sel.simulated_nonoverlap[i] != 0;
     const obs::Time t0 = opts.sink ? wall_ns() : 0;
-    if (do_over || do_non) {
-      sel.points[i] = measure_point_select(analysis, heights[i], opts,
-                                           arena_workspace(), do_over,
-                                           do_non, curves);
-    } else {
-      SweepPoint& pt = sel.points[i];
-      pt.V = heights[i];
-      const pipeline::TilingArtifact tiling =
-          pipeline::run_tiling(analysis, heights[i], ScheduleKind::kOverlap);
-      pt.g = tiling.tiling.tile_volume();
+    SweepPoint& pt = sel.points[i];
+    pt = measure_point(analysis, heights[i], opts, arena_workspace(),
+                       do_over, do_non);
+    if (!do_over) {
       pt.predicted_overlap = curves.overlap(heights[i]);
-      pt.predicted_nonoverlap = curves.nonoverlap(heights[i]);
       pt.predicted_cpu_bound = curves.cpu_bound(heights[i]);
     }
+    if (!do_non) pt.predicted_nonoverlap = curves.nonoverlap(heights[i]);
     if (opts.sink) {
       opts.sink->host_span("sweep V=" + std::to_string(heights[i]), t0,
                            wall_ns(), worker);
@@ -430,6 +332,11 @@ Autotune autotune_tile_height(const Problem& problem, ScheduleKind kind,
   TILO_REQUIRE(lo >= 1 && lo <= hi, "bad height range");
   const int threads = resolve_threads(opts.threads);
   const pipeline::AnalysisArtifact analysis = analysis_for(problem);
+  // A probe lowers and simulates the tuned kind only, whatever kinds the
+  // caller's run_* flags select for sweeps.
+  const bool overlap = kind == ScheduleKind::kOverlap;
+  SweepOptions probe_opts = opts;
+  probe_opts.run_overlap = probe_opts.run_nonoverlap = true;
 
   // Batch evaluation with memoization: each probe V is simulated at most
   // once, a whole batch fans out over the workers, and because the
@@ -446,8 +353,10 @@ Autotune autotune_tile_height(const Problem& problem, ScheduleKind kind,
     parallel_for_index(
         threads, todo.size(), [&](int worker, std::size_t i) {
           const obs::Time t0 = opts.sink ? wall_ns() : 0;
-          values[i] = run_once(analysis, todo[i], kind, opts,
-                               arena_workspace());
+          const SweepPoint pt = measure_point(
+              analysis, todo[i], probe_opts, arena_workspace(), overlap,
+              !overlap);
+          values[i] = overlap ? pt.t_overlap : pt.t_nonoverlap;
           if (opts.sink) {
             opts.sink->host_span("probe V=" + std::to_string(todo[i]), t0,
                                  wall_ns(), worker);

@@ -93,11 +93,12 @@ Response execute_compile(const pipeline::CompileOptions& base,
     r.set("predicted_seconds", Json::number(out.plan().predicted_seconds));
     if (params.simulate && out.backend().run)
       r.set("simulated_seconds", Json::number(out.backend().run->seconds));
-    if (params.include_plan)
-      r.set("plan", pipeline::plan_to_json(
-                        out.nest(),
-                        opts.model ? opts.model->params() : opts.machine,
-                        *out.plan().plan));
+    if (params.include_plan) {
+      const core::Problem& problem = out.analysis().problem;
+      r.set("plan", pipeline::plan_to_json(out.nest(), problem.machine,
+                                           *out.plan().plan,
+                                           problem.model.get()));
+    }
     resp.result = r.dump();
   } catch (const util::Error& e) {
     resp.status = RespStatus::kError;

@@ -38,8 +38,8 @@ lat::Vec vec_from_json(const Json& j, std::string_view what) {
 }  // namespace
 
 /// The canonical workload object — the only fields problem identity (and
-/// therefore single-flight batching and the multi-problem plan cache key)
-/// depends on.  Field order is fixed; absent optionals are omitted.
+/// therefore single-flight batching and the plan store key) depends on.
+/// Field order is fixed; absent optionals are omitted.
 Json workload_to_json(const CompileParams& p) {
   Json w = Json::object();
   w.set("name", Json::string(p.name));

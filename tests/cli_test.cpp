@@ -165,6 +165,21 @@ TEST(CliTest, SavedPlanReplaysBitIdentically) {
   EXPECT_NE(out2.find("rank"), std::string::npos) << out2;
 }
 
+TEST(CliTest, SavedPlanReplaysUnderItsOwnMachineModel) {
+  // The plan file carries the model it was compiled under, so the replay
+  // reproduces the interference run rather than the ideal machine's.
+  const std::string plan_path =
+      ::testing::TempDir() + "cli_interference_plan.json";
+  const auto [rc, out] = run_cli(
+      "--model interference --height 64 --schedule overlap --save-plan " +
+      plan_path);
+  EXPECT_EQ(rc, 0) << out;
+  const auto [rc2, out2] = run_cli("--load-plan " + plan_path);
+  EXPECT_EQ(rc2, 0) << out2;
+  ASSERT_FALSE(overlap_line(out).empty()) << out;
+  EXPECT_EQ(overlap_line(out), overlap_line(out2)) << out2;
+}
+
 TEST(CliTest, ScenarioCompilesAllWorkloadsInOneInvocation) {
   const std::string scn_path = ::testing::TempDir() + "cli_scenario.json";
   {

@@ -64,7 +64,8 @@ TEST(PredictTest, PredictionTracksSimulationForOverlap) {
   // percent of the discrete-event simulation.
   const Problem p = small_problem();
   const exec::TilePlan plan = p.plan(64, ScheduleKind::kOverlap);
-  const double predicted = core::predict_completion(plan, p.machine);
+  const double predicted =
+      core::predict_completion(plan, mach::IdealOverlapModel(p.machine));
   const double simulated = exec::run_plan(p.nest, plan, p.machine).seconds;
   EXPECT_NEAR(simulated, predicted, 0.15 * predicted);
 }
@@ -72,8 +73,9 @@ TEST(PredictTest, PredictionTracksSimulationForOverlap) {
 TEST(PredictTest, CpuBoundFormulaLowerBoundsOverlapPrediction) {
   const Problem p = small_problem();
   const exec::TilePlan plan = p.plan(32, ScheduleKind::kOverlap);
-  EXPECT_LE(core::predict_overlap_cpu_bound(plan, p.machine),
-            core::predict_completion(plan, p.machine) + 1e-12);
+  const mach::IdealOverlapModel model(p.machine);
+  EXPECT_LE(core::predict_overlap_cpu_bound(plan, model),
+            core::predict_completion(plan, model) + 1e-12);
 }
 
 TEST(SweepTest, SweepProducesMonotoneGrid) {
@@ -128,6 +130,27 @@ TEST(SweepTest, AutotuneFindsInteriorOptimum) {
   // The tuned time is at least as good as two arbitrary probes.
   const auto probe = core::sweep_tile_height(p, {8, 128});
   for (const auto& pt : probe) EXPECT_LE(best.t_opt, pt.t_overlap + 1e-12);
+}
+
+TEST(SweepTest, AutotuneTimeIsTheSweepPointTime) {
+  // An autotune probe and a sweep point at the same height are the same
+  // simulation, so the tuned time is bit-equal to the sweep's time there.
+  for (const Problem& p : {core::paper_problem_i(), core::paper_problem_ii(),
+                           core::paper_problem_iii()}) {
+    for (const ScheduleKind kind :
+         {ScheduleKind::kOverlap, ScheduleKind::kNonOverlap}) {
+      SCOPED_TRACE(p.nest.name() + (kind == ScheduleKind::kOverlap
+                                        ? " overlap"
+                                        : " non-overlap"));
+      const core::Autotune best =
+          core::autotune_tile_height(p, kind, 16, p.max_tile_height());
+      const auto points = core::sweep_tile_height(p, {best.V_opt});
+      ASSERT_EQ(points.size(), 1u);
+      EXPECT_EQ(best.t_opt, kind == ScheduleKind::kOverlap
+                                ? points[0].t_overlap
+                                : points[0].t_nonoverlap);
+    }
+  }
 }
 
 TEST(SweepTest, SkippingSchedulesLeavesZeros)

@@ -53,7 +53,7 @@ TEST(PipelineSerialize, DeserializedPlanReplaysBitIdentically) {
             pipeline::plan_to_json(problem.nest, problem.machine, plan)
                 .dump()));
     const pipeline::ArtifactStore out = pipeline::Compiler().replay(
-        bundle.nest, bundle.machine, bundle.plan);
+        bundle.nest, bundle.model, bundle.plan);
     ASSERT_TRUE(out.backend().run.has_value());
     const exec::RunResult& replayed = *out.backend().run;
     EXPECT_EQ(replayed.completion, reference.completion)
@@ -62,6 +62,46 @@ TEST(PipelineSerialize, DeserializedPlanReplaysBitIdentically) {
     EXPECT_EQ(replayed.bytes, reference.bytes);
     EXPECT_EQ(replayed.events, reference.events);
   }
+}
+
+TEST(PipelineSerialize, InterferenceModelPlanReplaysUnderItsOwnModel) {
+  const core::Problem seed = core::paper_problem_iii();
+  pipeline::CompileOptions opts;
+  opts.model = mach::make_model("interference", seed.machine);
+  opts.procs = seed.procs;
+  opts.height = 64;
+  const pipeline::ArtifactStore compiled =
+      pipeline::Compiler(opts).compile_nest(seed.nest);
+  const core::Problem& problem = compiled.analysis().problem;
+  const exec::TilePlan& plan = *compiled.plan().plan;
+  const pipeline::Json doc = pipeline::plan_to_json(
+      problem.nest, problem.machine, plan, problem.model.get());
+  ASSERT_NE(doc.find("machine_model"), nullptr);
+
+  const pipeline::PlanBundle bundle =
+      pipeline::plan_from_json(pipeline::Json::parse(doc.dump()));
+  ASSERT_NE(bundle.model, nullptr);
+  EXPECT_EQ(bundle.model->kind(), "interference");
+  const pipeline::ArtifactStore out =
+      pipeline::Compiler().replay(bundle.nest, bundle.model, bundle.plan);
+  ASSERT_TRUE(out.backend().run.has_value());
+  EXPECT_EQ(out.backend().run->seconds, compiled.backend().run->seconds);
+  EXPECT_EQ(out.plan().predicted_seconds, compiled.plan().predicted_seconds);
+
+  // The model is what moves the time: the ideal model over the same
+  // machine replays this plan faster.
+  const pipeline::ArtifactStore ideal = pipeline::Compiler().replay(
+      bundle.nest, std::make_shared<mach::IdealOverlapModel>(bundle.machine),
+      bundle.plan);
+  EXPECT_LT(ideal.backend().run->seconds, compiled.backend().run->seconds);
+
+  // An ideal model writes no envelope, so ideal plans keep their bytes.
+  const mach::IdealOverlapModel ideal_model(problem.machine);
+  EXPECT_EQ(pipeline::plan_to_json(problem.nest, problem.machine, plan,
+                                   &ideal_model)
+                .dump(),
+            pipeline::plan_to_json(problem.nest, problem.machine, plan)
+                .dump());
 }
 
 TEST(PipelineSerialize, BundleCarriesTheKernelForFunctionalReplay) {

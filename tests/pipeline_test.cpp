@@ -1,12 +1,11 @@
 // The staged compiler: per-stage invariant verifiers (every one has a
 // negative test whose error names the failing stage), full compiles through
-// pipeline::Compiler, scenario batches, and the PlanCache scopes.
+// pipeline::Compiler, and scenario batches.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
-#include "tilo/core/plancache.hpp"
 #include "tilo/core/recommend.hpp"
 #include "tilo/loopnest/parse.hpp"
 #include "tilo/obs/chrome_trace.hpp"
@@ -41,10 +40,14 @@ void expect_error_containing(Fn&& fn, const std::string& substr) {
   }
 }
 
+std::shared_ptr<const mach::Model> paper_model() {
+  return std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
+}
+
 pipeline::AnalysisArtifact demo_analysis(const lat::Vec& procs) {
   const loop::LoopNest nest = loop::parse_nest(kDemoSource);
-  return pipeline::run_analysis(nest, mach::MachineParams::paper_cluster(),
-                                procs, std::nullopt,
+  return pipeline::run_analysis(nest, paper_model(), procs, std::nullopt,
                                 ScheduleKind::kOverlap);
 }
 
@@ -62,9 +65,8 @@ TEST(PipelineStageErrors, AnalysisRejectsNegativeDependences) {
       loop::DependenceSet({lat::Vec{1, -1}}));
   expect_error_containing(
       [&] {
-        pipeline::run_analysis(nest, mach::MachineParams::paper_cluster(),
-                               std::nullopt, std::nullopt,
-                               ScheduleKind::kOverlap);
+        pipeline::run_analysis(nest, paper_model(), std::nullopt,
+                               std::nullopt, ScheduleKind::kOverlap);
       },
       "pipeline stage Analysis");
 }
@@ -74,9 +76,8 @@ TEST(PipelineStageErrors, AnalysisRejectsOversubscribedAutoGrid) {
   // 1024 processors cannot factor into the 16x16 cross-section caps.
   expect_error_containing(
       [&] {
-        pipeline::run_analysis(nest, mach::MachineParams::paper_cluster(),
-                               std::nullopt, i64{1024},
-                               ScheduleKind::kOverlap);
+        pipeline::run_analysis(nest, paper_model(), std::nullopt,
+                               i64{1024}, ScheduleKind::kOverlap);
       },
       "pipeline stage Analysis");
 }
@@ -269,9 +270,7 @@ pipeline::ScenarioFile three_workload_scenario() {
 
 TEST(PipelineScenario, OneInvocationCompilesThreeWorkloadsWithSpans) {
   obs::ChromeTraceSink sink;
-  core::PlanCache cache;
   pipeline::CompileOptions opts;
-  opts.plan_cache = &cache;
   opts.sink = &sink;
   const std::vector<pipeline::ArtifactStore> stores =
       pipeline::Compiler(opts).compile(three_workload_scenario());
@@ -284,7 +283,6 @@ TEST(PipelineScenario, OneInvocationCompilesThreeWorkloadsWithSpans) {
   EXPECT_EQ(stores[0].schedule().kind, ScheduleKind::kOverlap);
   EXPECT_EQ(stores[1].schedule().kind, ScheduleKind::kNonOverlap);
   EXPECT_TRUE(stores[2].analysis().auto_grid);
-  EXPECT_GT(cache.misses(), 0u);
 
   // Per-workload, per-stage spans are visible in the Chrome trace.
   std::ostringstream os;
@@ -314,27 +312,6 @@ TEST(PipelineScenario, RejectsWrongEnvelope) {
             R"({"tilo": "scenario", "version": 99, "workloads": []})");
       },
       "version");
-}
-
-// ---------------------------------------------------------------- plan cache
-
-TEST(PlanCacheScope, MultiProblemServesSeveralProblems) {
-  core::PlanCache cache;
-  const core::Problem a = core::paper_problem_i();
-  const core::Problem b = core::paper_problem_iii();
-  const auto pa = cache.get(a, 64, ScheduleKind::kOverlap);
-  const auto pb = cache.get(b, 64, ScheduleKind::kOverlap);
-  // Different problems get different plans, and each is cached under its
-  // own identity: a second get is a hit that returns the same object.
-  EXPECT_NE(pa->space.num_tiles(), pb->space.num_tiles());
-  EXPECT_EQ(cache.get(a, 64, ScheduleKind::kOverlap).get(), pa.get());
-  EXPECT_EQ(cache.get(b, 64, ScheduleKind::kOverlap).get(), pb.get());
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
-  // The kind-sibling copy-flip still works per problem.
-  const auto pa_non = cache.get(a, 64, ScheduleKind::kNonOverlap);
-  EXPECT_EQ(pa_non->space.num_tiles(), pa->space.num_tiles());
-  EXPECT_EQ(cache.hits(), 3u);
 }
 
 }  // namespace

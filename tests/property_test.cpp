@@ -180,7 +180,8 @@ TEST_P(SchedulePropertiesTest, CpuBoundPredictionTracksSimulation) {
                         mach::MachineParams::paper_cluster(),
                         Vec{4, 4, 1}, nullptr};
   const exec::TilePlan plan = p.plan(V, ScheduleKind::kOverlap);
-  const double predicted = core::predict_completion(plan, p.machine);
+  const double predicted =
+      core::predict_completion(plan, mach::IdealOverlapModel(p.machine));
   const double simulated = exec::run_plan(p.nest, plan, p.machine).seconds;
   EXPECT_NEAR(simulated, predicted, 0.15 * predicted) << "V = " << V;
 }

@@ -142,21 +142,31 @@ TEST(PruneSelectTest, SlackBelowOneIsRejected) {
 }
 
 /// Exhaustive mode is the escape hatch: every point simulated, bytes
-/// identical to the plain sweep.
+/// identical to the plain sweep — times, tile volumes and the plan-level
+/// predictions alike, on every paper space.
 TEST(PruneSelectTest, ExhaustiveModeMatchesPlainSweep) {
-  const Problem problem = core::paper_problem_iii();
-  const std::vector<i64> heights = grid_for(problem);
-  SweepOptions opts;
-  opts.exhaustive = true;
-  const SweepSelection sel = core::sweep_select(problem, heights, opts);
-  const std::vector<core::SweepPoint> plain =
-      core::sweep_tile_height(problem, heights);
-  ASSERT_EQ(sel.points.size(), plain.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(sel.points[i].V, plain[i].V);
-    EXPECT_EQ(sel.points[i].t_overlap, plain[i].t_overlap);
-    EXPECT_EQ(sel.points[i].t_nonoverlap, plain[i].t_nonoverlap);
-    EXPECT_EQ(sel.points[i].events, plain[i].events);
+  for (int space = 0; space < 3; ++space) {
+    SCOPED_TRACE("paper space " + std::to_string(space));
+    const Problem problem = paper_space(space);
+    const std::vector<i64> heights = grid_for(problem);
+    SweepOptions opts;
+    opts.exhaustive = true;
+    const SweepSelection sel = core::sweep_select(problem, heights, opts);
+    const std::vector<core::SweepPoint> plain =
+        core::sweep_tile_height(problem, heights);
+    ASSERT_EQ(sel.points.size(), plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      EXPECT_EQ(sel.points[i].V, plain[i].V);
+      EXPECT_EQ(sel.points[i].g, plain[i].g);
+      EXPECT_EQ(sel.points[i].t_overlap, plain[i].t_overlap);
+      EXPECT_EQ(sel.points[i].t_nonoverlap, plain[i].t_nonoverlap);
+      EXPECT_EQ(sel.points[i].predicted_overlap, plain[i].predicted_overlap);
+      EXPECT_EQ(sel.points[i].predicted_nonoverlap,
+                plain[i].predicted_nonoverlap);
+      EXPECT_EQ(sel.points[i].predicted_cpu_bound,
+                plain[i].predicted_cpu_bound);
+      EXPECT_EQ(sel.points[i].events, plain[i].events);
+    }
   }
 }
 

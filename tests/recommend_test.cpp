@@ -45,8 +45,9 @@ TEST(RecommendTest, ChoiceMinimizesPredictionOverAllGrids) {
     const i64 p1 = 16 / p0;
     core::Problem alt{nest, m, Vec{p0, p1, 1}, nullptr};
     const auto opt = core::analytic_optimal_height_overlap(alt);
-    const double predicted = core::predict_completion(
-        alt.plan(opt.V, ScheduleKind::kOverlap), m);
+    const double predicted =
+        core::predict_completion(alt.plan(opt.V, ScheduleKind::kOverlap),
+                                 mach::IdealOverlapModel(m));
     EXPECT_LE(best.predicted_seconds, predicted + 1e-12)
         << "grid " << p0 << "x" << p1;
   }

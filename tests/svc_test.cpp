@@ -18,7 +18,10 @@
 #include <thread>
 #include <vector>
 
+#include "tilo/pipeline/compiler.hpp"
+#include "tilo/pipeline/serialize.hpp"
 #include "tilo/svc/client.hpp"
+#include "tilo/svc/compile.hpp"
 #include "tilo/svc/listener.hpp"
 #include "tilo/svc/protocol.hpp"
 #include "tilo/svc/queue.hpp"
@@ -361,6 +364,28 @@ TEST(SvcServerTest, CompilesOverTheWire) {
   EXPECT_GT(r.at("schedule_length").as_integer("schedule_length"), 0);
   EXPECT_GT(r.at("predicted_seconds").as_number("predicted_seconds"), 0.0);
   EXPECT_GT(r.at("simulated_seconds").as_number("simulated_seconds"), 0.0);
+}
+
+TEST(SvcCompileTest, IncludedPlanReplaysUnderTheNamedModel) {
+  // A plan embedded in a response for a named model carries that model, so
+  // replaying it reproduces the response's simulated time.
+  svc::CompileParams params = quick_params("modelled");
+  params.simulate = true;
+  params.include_plan = true;
+  params.model = "interference";
+  const svc::Response resp =
+      svc::execute_compile(tilo::pipeline::CompileOptions{}, params);
+  ASSERT_EQ(resp.status, svc::RespStatus::kOk) << resp.error;
+  const Json r = Json::parse(resp.result);
+  ASSERT_NE(r.at("plan").find("machine_model"), nullptr) << resp.result;
+  const tilo::pipeline::PlanBundle bundle =
+      tilo::pipeline::plan_from_json(r.at("plan"));
+  EXPECT_EQ(bundle.model->kind(), "interference");
+  const tilo::pipeline::ArtifactStore replayed =
+      tilo::pipeline::Compiler().replay(bundle.nest, bundle.model,
+                                        bundle.plan);
+  EXPECT_EQ(replayed.backend().run->seconds,
+            r.at("simulated_seconds").as_number("simulated_seconds"));
 }
 
 TEST(SvcServerTest, CompileErrorsComeBackAsErrorStatus) {
