@@ -12,6 +12,7 @@ int main() {
   using util::i64;
 
   const core::Problem p = core::paper_problem_i();
+  const auto model = std::make_shared<const mach::IdealOverlapModel>(p.machine);
   std::cout << "== Ablation — eager vs rendezvous (space i, overlap "
                "schedule) ==\n\n";
   util::Table table;
@@ -23,11 +24,9 @@ int main() {
     exec::RunOptions eager;
     exec::RunOptions rdv;
     rdv.comm.protocol = msg::Protocol::kRendezvous;
-    const double t_eager = exec::run_plan(p.nest, over, p.machine,
-                                          eager).seconds;
-    const double t_rdv = exec::run_plan(p.nest, over, p.machine,
-                                        rdv).seconds;
-    const double t_non = exec::run_plan(p.nest, non, p.machine).seconds;
+    const double t_eager = exec::run_plan(p.nest, over, model, eager).seconds;
+    const double t_rdv = exec::run_plan(p.nest, over, model, rdv).seconds;
+    const double t_non = exec::run_plan(p.nest, non, model).seconds;
     table.add_row({std::to_string(V), util::fmt_seconds(t_eager),
                    util::fmt_seconds(t_rdv),
                    util::fmt_fixed(100.0 * (t_rdv - t_eager) / t_eager, 1) +

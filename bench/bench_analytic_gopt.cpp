@@ -28,6 +28,8 @@ int main() {
                     {"iii: 32x32x4096", core::paper_problem_iii()}};
 
   for (Named& s : spaces) {
+    const auto model =
+        std::make_shared<const mach::IdealOverlapModel>(s.problem.machine);
     struct Row {
       sched::ScheduleKind kind;
       core::AnalyticOptimum opt;
@@ -42,7 +44,7 @@ int main() {
     for (const Row& r : rows) {
       const double t_sim_at_analytic =
           exec::run_plan(s.problem.nest, s.problem.plan(r.opt.V, r.kind),
-                         s.problem.machine)
+                         model)
               .seconds;
       const core::Autotune swept = core::autotune_tile_height(
           s.problem, r.kind, 16, s.problem.max_tile_height() / 4);

@@ -27,20 +27,19 @@ int main() {
   table.set_header({"space", "V", "t blocking", "t nonblocking",
                     "improvement", "t nonblocking (shared bus)"});
   for (Row& r : rows) {
+    const auto model =
+        std::make_shared<const mach::IdealOverlapModel>(r.problem.machine);
     const exec::TilePlan blocking =
         r.problem.plan(r.v_paper, sched::ScheduleKind::kNonOverlap);
     const exec::TilePlan nonblocking =
         r.problem.plan(r.v_paper, sched::ScheduleKind::kOverlap);
-    const double t_b =
-        exec::run_plan(r.problem.nest, blocking, r.problem.machine).seconds;
+    const double t_b = exec::run_plan(r.problem.nest, blocking, model).seconds;
     const double t_nb =
-        exec::run_plan(r.problem.nest, nonblocking, r.problem.machine)
-            .seconds;
+        exec::run_plan(r.problem.nest, nonblocking, model).seconds;
     exec::RunOptions bus;
     bus.comm.network = msg::Network::kSharedBus;
     const double t_bus =
-        exec::run_plan(r.problem.nest, nonblocking, r.problem.machine, bus)
-            .seconds;
+        exec::run_plan(r.problem.nest, nonblocking, model, bus).seconds;
     table.add_row({r.name, std::to_string(r.v_paper),
                    util::fmt_seconds(t_b), util::fmt_seconds(t_nb),
                    util::fmt_fixed(100.0 * (t_b - t_nb) / t_b, 1) + " %",

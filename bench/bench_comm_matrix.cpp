@@ -20,7 +20,6 @@ int main() {
   // Tiling → Scheduling → Lowering build the verified plan, the Backend
   // runs it.
   pipeline::CompileOptions copts;
-  copts.machine = p.machine;
   copts.procs = p.procs;
   copts.height = V;
   copts.kind = sched::ScheduleKind::kOverlap;

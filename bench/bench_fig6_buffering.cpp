@@ -15,6 +15,7 @@ int main() {
   using util::i64;
 
   const core::Problem p = core::paper_problem_i();
+  const auto model = std::make_shared<const mach::IdealOverlapModel>(p.machine);
   std::cout << "== Fig. 6 — extra buffering for the overlapping case ==\n";
   std::cout << "space 16 x 16 x 16384, 16 processors, 4-byte elements\n\n";
 
@@ -25,8 +26,8 @@ int main() {
   for (i64 V : {64, 223, 444, 1024}) {
     const exec::TilePlan over = p.plan(V, sched::ScheduleKind::kOverlap);
     const exec::TilePlan non = p.plan(V, sched::ScheduleKind::kNonOverlap);
-    const exec::RunResult r_over = exec::run_plan(p.nest, over, p.machine);
-    const exec::RunResult r_non = exec::run_plan(p.nest, non, p.machine);
+    const exec::RunResult r_over = exec::run_plan(p.nest, over, model);
+    const exec::RunResult r_non = exec::run_plan(p.nest, non, model);
     const i64 ranks = over.mapping.num_ranks();
     const i64 tile_bytes = over.space.tiling().tile_volume() *
                            p.machine.bytes_per_element;

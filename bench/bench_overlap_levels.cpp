@@ -95,7 +95,6 @@ int main(int argc, char** argv) {
   // and verify the plan, the Backend simulates it.
   const auto compile = [&](sched::ScheduleKind kind, OverlapLevel level) {
     pipeline::CompileOptions copts;
-    copts.machine = p.machine;
     copts.procs = p.procs;
     copts.height = V;
     copts.kind = kind;

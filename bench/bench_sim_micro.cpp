@@ -56,9 +56,10 @@ BENCHMARK(BM_EngineEventThroughputStdFunction)->Arg(100000);
 
 static void BM_MessagePipeline(benchmark::State& state) {
   const int msgs = static_cast<int>(state.range(0));
-  const mach::MachineParams params = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<const mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   for (auto _ : state) {
-    msg::Cluster c(2, params);
+    msg::Cluster c(2, model);
     for (int i = 0; i < msgs; ++i) c.node(1).irecv(0, i);
     c.engine().at(0, [&] {
       for (int i = 0; i < msgs; ++i) c.node(0).isend(1, i, 7104);
@@ -73,8 +74,9 @@ static void BM_TimedRunOverlap(benchmark::State& state) {
   const util::i64 V = state.range(0);
   const core::Problem p = core::paper_problem_i();
   const exec::TilePlan plan = p.plan(V, sched::ScheduleKind::kOverlap);
+  const auto model = std::make_shared<const mach::IdealOverlapModel>(p.machine);
   for (auto _ : state) {
-    const exec::RunResult r = exec::run_plan(p.nest, plan, p.machine);
+    const exec::RunResult r = exec::run_plan(p.nest, plan, model);
     benchmark::DoNotOptimize(r.completion);
     state.counters["sim_events"] = static_cast<double>(r.events);
     state.counters["sim_seconds"] = r.seconds;
@@ -87,8 +89,9 @@ static void BM_TimedRunNonOverlap(benchmark::State& state) {
   const util::i64 V = state.range(0);
   const core::Problem p = core::paper_problem_i();
   const exec::TilePlan plan = p.plan(V, sched::ScheduleKind::kNonOverlap);
+  const auto model = std::make_shared<const mach::IdealOverlapModel>(p.machine);
   for (auto _ : state) {
-    const exec::RunResult r = exec::run_plan(p.nest, plan, p.machine);
+    const exec::RunResult r = exec::run_plan(p.nest, plan, model);
     benchmark::DoNotOptimize(r.completion);
   }
 }
@@ -100,11 +103,12 @@ static void BM_FunctionalRun(benchmark::State& state) {
   const exec::TilePlan plan = exec::make_plan(
       nest, tile::RectTiling(lat::Vec{4, 4, 8}),
       sched::ScheduleKind::kOverlap);
-  const mach::MachineParams params = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<const mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   exec::RunOptions opts;
   opts.functional = true;
   for (auto _ : state) {
-    const exec::RunResult r = exec::run_plan(nest, plan, params, opts);
+    const exec::RunResult r = exec::run_plan(nest, plan, model, opts);
     benchmark::DoNotOptimize(r.field->values.data());
   }
   state.SetItemsProcessed(state.iterations() * nest.iterations());

@@ -42,7 +42,8 @@ int main() {
             << " (" << view.domain().volume() << " cells for "
             << nest.domain().volume() << " real iterations)\n\n";
 
-  const mach::MachineParams machine = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<const mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   util::Table table;
   table.set_header({"V (mapped side)", "t overlap", "t non-overlap",
                     "improvement"});
@@ -66,8 +67,8 @@ int main() {
     const auto non = exec::make_plan_explicit(
         view, tile::RectTiling(sides), sched::ScheduleKind::kNonOverlap,
         md, Vec{8, 8});
-    const double t_over = exec::run_plan(view, over, machine).seconds;
-    const double t_non = exec::run_plan(view, non, machine).seconds;
+    const double t_over = exec::run_plan(view, over, model).seconds;
+    const double t_non = exec::run_plan(view, non, model).seconds;
     table.add_row({std::to_string(sides[md]), util::fmt_seconds(t_over),
                    util::fmt_seconds(t_non),
                    util::fmt_fixed(100.0 * (t_non - t_over) / t_non, 1) +

@@ -191,6 +191,8 @@ void write_bench_report(const std::string& path,
 
   // One instrumented run per schedule at its optimum.
   obs::Registry registry;
+  const auto model =
+      std::make_shared<const mach::IdealOverlapModel>(problem.machine);
   const auto instrumented = [&](i64 V, core::ScheduleKind kind) {
     obs::ReportSink rs;
     obs::MultiSink fan;
@@ -199,7 +201,7 @@ void write_bench_report(const std::string& path,
     exec::RunOptions ro;
     ro.sink = &fan;
     const core::TilePlan plan = problem.plan(V, kind);
-    exec::run_plan(problem.nest, plan, problem.machine, ro);
+    exec::run_plan(problem.nest, plan, model, ro);
     return rs.report();
   };
   os << "\"overlap\":";

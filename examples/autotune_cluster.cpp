@@ -75,7 +75,7 @@ int main() {
   // Sanity: the tuned plan still computes the right answer.
   const double err = exec::run_and_validate(
       problem.nest, problem.plan(over.V_opt, sched::ScheduleKind::kOverlap),
-      problem.machine);
+      std::make_shared<mach::IdealOverlapModel>(problem.machine));
   std::cout << "functional validation vs sequential: max |err| = " << err
             << '\n';
   return 0;

@@ -33,8 +33,7 @@ ENDFOR
   // 2. One compiler, two compilations (overlapping / non-overlapping).
   // Every stage runs its paper-invariant verifier: H·P = I, 0/1 tile
   // dependences, Π-legality, grid·mapping consistency, P(g) cross-check.
-  pipeline::CompileOptions opts;
-  opts.machine = mach::MachineParams::paper_cluster();
+  pipeline::CompileOptions opts;  // the paper's cluster by default
   opts.procs = Vec{4, 4, 1};
   opts.codegen.element_type = "float";  // the paper uses floats
 
@@ -68,7 +67,7 @@ ENDFOR
     }
 
     const double err = exec::run_and_validate(out.nest(), *out.plan().plan,
-                                              opts.machine);
+                                              opts.model);
     table.add_row({kind == sched::ScheduleKind::kOverlap ? "overlapping"
                                                          : "non-overlapping",
                    std::to_string(out.schedule().length),

@@ -441,14 +441,16 @@ constexpr Flag kFlags[] = {
      }},
     {"--machine", "FILE",
      "load the machine model from FILE (a machine_model envelope written "
-     "by --calibrate, or bare machine-parameter JSON)",
+     "by --calibrate, or bare machine-parameter JSON); not with --serve "
+     "or --connect",
      [](CliOptions& c, const std::string& v) {
        c.machine_path = v;
        return !v.empty();
      }},
     {"--model", "NAME",
      "compile under a named machine model (ideal, interference, hetero, "
-     "offload-none/-dma/-duplex/-rdma); with --connect, asks the server",
+     "offload-none/-dma/-duplex/-rdma); with --connect, asks the server "
+     "to build it over its own machine (not with --serve)",
      [](CliOptions& c, const std::string& v) {
        c.model_name = v;
        return !v.empty();
@@ -529,14 +531,15 @@ std::optional<std::string> read_file(const std::string& path) {
   return body.str();
 }
 
-/// Resolves --machine / --model into one mach::Model: the file (when
-/// given) supplies the machine scalars and possibly a full model, then the
-/// registry name (when given) re-wraps those scalars.  Leaves `model` null
-/// when neither flag was passed, so every default path keeps its
-/// historical params-only behavior.
+/// Resolves --machine / --model into one mach::Model, starting from the
+/// ideal paper cluster: the file (when given) supplies the machine scalars
+/// and possibly a full model, then the registry name (when given) re-wraps
+/// those scalars.  Never leaves `model` null.
 int resolve_model(const CliOptions& cli,
                   std::shared_ptr<const tilo::mach::Model>& model) {
   using namespace tilo;
+  model = std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   if (!cli.machine_path.empty()) {
     const auto text = read_file(cli.machine_path);
     if (!text) {
@@ -555,10 +558,8 @@ int resolve_model(const CliOptions& cli,
     }
   }
   if (!cli.model_name.empty()) {
-    const mach::MachineParams params =
-        model ? model->params() : mach::MachineParams::paper_cluster();
     std::shared_ptr<const mach::Model> named =
-        mach::make_model(cli.model_name, params);
+        mach::make_model(cli.model_name, model->params());
     if (!named) {
       std::string names;
       for (const std::string& n : mach::model_names()) {
@@ -581,9 +582,6 @@ int resolve_model(const CliOptions& cli,
 int run_calibrate(const CliOptions& cli,
                   std::shared_ptr<const tilo::mach::Model> model) {
   using namespace tilo;
-  if (!model)
-    model = std::make_shared<mach::IdealOverlapModel>(
-        mach::MachineParams::paper_cluster());
   const mach::CalibrationReport report =
       mach::calibrate_interference(*model);
   std::cout << "calibrated against \"" << model->kind() << "\" reference:\n"
@@ -640,11 +638,11 @@ void print_schedule_line(tilo::sched::ScheduleKind kind, double seconds,
 /// report, Chrome trace.  Returns false on I/O failure.
 bool finish_run(const CliOptions& cli, const tilo::loop::LoopNest& nest,
                 const tilo::exec::TilePlan& plan,
-                const tilo::mach::MachineParams& machine, Observers& obs,
-                const std::string& trace_path) {
+                const std::shared_ptr<const tilo::mach::Model>& model,
+                Observers& obs, const std::string& trace_path) {
   using namespace tilo;
   if (cli.validate) {
-    const double err = exec::run_and_validate(nest, plan, machine);
+    const double err = exec::run_and_validate(nest, plan, model);
     std::cout << "  validation vs sequential: max |err| = " << err << '\n';
   }
   if (cli.gantt) {
@@ -705,17 +703,18 @@ int run_load_plan(const CliOptions& cli) {
   print_schedule_line(plan.kind, out.backend().run->seconds, plan,
                       out.plan().predicted_seconds);
   if (cli.pipeline_log) pipeline::write_stage_log(std::cout, out);
-  if (!finish_run(cli, nest, plan, bundle->machine, obs, cli.trace_path))
+  if (!finish_run(cli, nest, plan, bundle->model, obs, cli.trace_path))
     return kExitFileIo;
   return kExitOk;
 }
 
 /// Batch mode: --scenario FILE.  One Compiler invocation compiles every
 /// workload; per-stage spans land on the workload's trace lane.  A
-/// scenario file's own "machine_model" wins over the --machine/--model
-/// flags (the file is the more specific request).  With --report each
-/// workload gets its own A/B phase table (DAG workloads print the ALAP
-/// lower bound next to the achieved makespan there).
+/// scenario file's own machine, as a "machine_model" envelope or a bare
+/// "machine", wins over the --machine/--model flags (the file is the more
+/// specific request).  With --report each workload gets its own A/B phase
+/// table (DAG workloads print the ALAP lower bound next to the achieved
+/// makespan there).
 int run_scenario(const CliOptions& cli,
                  std::shared_ptr<const tilo::mach::Model> model) {
   using namespace tilo;
@@ -759,7 +758,6 @@ int run_scenario(const CliOptions& cli,
     stores.reserve(scenario->workloads.size());
     for (const pipeline::ScenarioWorkload& wl : scenario->workloads) {
       pipeline::ScenarioFile one;
-      one.machine = scenario->machine;
       one.model = scenario->model;
       one.workloads.push_back(wl);
       report.reset();
@@ -991,8 +989,8 @@ int run_connect(const CliOptions& cli) {
   base.height = cli.height;
   base.auto_procs = cli.auto_procs;
   base.simulate = true;
-  // --model travels by registry name; the server instantiates it over its
-  // own machine.  (--machine files stay local — the wire carries names.)
+  // --model travels by registry name; the server builds it over its own
+  // machine.  (--machine is rejected in this mode: the wire carries names.)
   base.model = cli.model_name;
   if (!cli.auto_procs) {
     if (cli.procs_text) {
@@ -1143,11 +1141,9 @@ int run_fleet_controller(const CliOptions& cli,
     for (const pipeline::ScenarioWorkload& wl : scenario->workloads)
       names.push_back(wl.name);
     // The flags' model rides into every unit unless the scenario file
-    // carries its own (the more specific request wins, as in --scenario).
-    if (model && !scenario->model) {
-      scenario->model = model;
-      if (!scenario->machine) scenario->machine = model->params();
-    }
+    // names its own machine, in either form (the more specific request
+    // wins, as in --scenario).
+    if (!scenario->model) scenario->model = model;
     units = fleet::scenario_units(*scenario);
   } else if (cli.fleet_sweep) {
     sweep_job = true;
@@ -1162,8 +1158,6 @@ int run_fleet_controller(const CliOptions& cli,
     // Resolve the grid exactly like local mode, so the fleet sweeps the
     // same problem --sweep would (and the outputs can be compared).
     pipeline::CompileOptions popts;
-    popts.machine =
-        model ? model->params() : mach::MachineParams::paper_cluster();
     popts.model = model;
     popts.height = cli.height;
     popts.simulate = false;
@@ -1176,7 +1170,7 @@ int run_fleet_controller(const CliOptions& cli,
       popts.procs = std::move(procs);
     } else {
       const std::size_t md =
-          core::Problem{*nest_opt, popts.machine,
+          core::Problem{*nest_opt, model->params(),
                         lat::Vec(nest_opt->dims(), 1), nullptr}
               .mapped_dim();
       lat::Vec procs(nest_opt->dims(), 4);
@@ -1438,6 +1432,24 @@ int main(int argc, char** argv) {
     return kExitOk;
   }
 
+  // A server compiles on one machine: svc::problem_key holds only the
+  // request, so a flag-chosen server machine would answer from a plan
+  // store written under another, and ring replicas would stop agreeing
+  // byte for byte.  Clients choose a model by name (--connect --model).
+  if (!cli.serve_address.empty() &&
+      (!cli.machine_path.empty() || !cli.model_name.empty())) {
+    std::cerr << "error: --serve compiles on the default machine; drop "
+                 "--machine/--model (clients pick a model with --connect "
+                 "--model NAME)\n";
+    return kExitUsage;
+  }
+  if ((!cli.connect_address.empty() || !cli.replicas.empty()) &&
+      !cli.machine_path.empty()) {
+    std::cerr << "error: --connect compiles on the server's machine; drop "
+                 "--machine (--model NAME asks the server for a model)\n";
+    return kExitUsage;
+  }
+
   try {
     std::shared_ptr<const mach::Model> model;
     if (const int rc = resolve_model(cli, model); rc != kExitOk) return rc;
@@ -1455,8 +1467,6 @@ int main(int argc, char** argv) {
       return run_scenario(cli, std::move(model));
     if (!cli.load_plan_path.empty()) return run_load_plan(cli);
 
-    const mach::MachineParams machine =
-        model ? model->params() : mach::MachineParams::paper_cluster();
     std::optional<loop::LoopNest> nest_opt;
     try {
       nest_opt = pipeline::run_frontend({cli.source_name, cli.source});
@@ -1474,7 +1484,6 @@ int main(int argc, char** argv) {
     // planner search or flags; V by flag or the overlapping analytic
     // optimum, as the paper tunes), shared by both schedule runs below.
     pipeline::CompileOptions popts;
-    popts.machine = machine;
     popts.model = model;
     popts.height = cli.height;
     popts.simulate = false;
@@ -1487,7 +1496,8 @@ int main(int argc, char** argv) {
       popts.procs = std::move(procs);
     } else {
       const std::size_t md =
-          core::Problem{nest, machine, lat::Vec(nest.dims(), 1), nullptr}
+          core::Problem{nest, model->params(), lat::Vec(nest.dims(), 1),
+                        nullptr}
               .mapped_dim();
       lat::Vec procs(nest.dims(), 4);
       procs[md] = 1;
@@ -1532,7 +1542,6 @@ int main(int argc, char** argv) {
         continue;
       Observers obs;
       pipeline::CompileOptions ropts;
-      ropts.machine = machine;
       ropts.model = model;
       ropts.procs = problem.procs;
       ropts.height = V;
@@ -1551,9 +1560,7 @@ int main(int argc, char** argv) {
                     << " for writing\n";
           return kExitFileIo;
         }
-        os << pipeline::plan_to_json(nest, machine, plan, model.get())
-                  .dump()
-           << '\n';
+        os << pipeline::plan_to_json(nest, plan, *model).dump() << '\n';
         std::cout << "  plan written to " << cli.save_plan_path << '\n';
       }
       // One trace file per schedule: suffix the kind when both run.
@@ -1568,7 +1575,7 @@ int main(int argc, char** argv) {
         else
           trace_path.insert(dot, tag);
       }
-      if (!finish_run(cli, nest, plan, machine, obs, trace_path))
+      if (!finish_run(cli, nest, plan, model, obs, trace_path))
         return kExitFileIo;
     }
 
@@ -1579,7 +1586,7 @@ int main(int argc, char** argv) {
     if (cli.emit_c) {
       // Codegen is a Backend product too: recompile without simulation.
       pipeline::CompileOptions eopts;
-      eopts.machine = machine;
+      eopts.model = model;
       eopts.procs = problem.procs;
       eopts.height = V;
       eopts.kind = sched::ScheduleKind::kOverlap;

@@ -1,4 +1,4 @@
-// One-call planning: given a nest, a machine and a processor budget,
+// One-call planning: given a nest, a machine model and a processor budget,
 // choose everything the paper chooses by hand — the mapping dimension
 // (largest extent), the processor-grid factorization across the remaining
 // dimensions, and the tile height (analytic optimum) — and return the
@@ -25,7 +25,7 @@ struct Recommendation {
 /// row), derives each candidate's analytic V and eq. (3)/(4) prediction,
 /// and returns the minimum-predicted-time candidate.
 Recommendation recommend_plan(const loop::LoopNest& nest,
-                              const mach::MachineParams& machine,
+                              std::shared_ptr<const mach::Model> model,
                               util::i64 total_procs,
                               sched::ScheduleKind kind =
                                   sched::ScheduleKind::kOverlap);

@@ -17,7 +17,8 @@ using util::i64;
 }  // namespace
 
 double critical_path_lower_bound(const TilePlan& plan,
-                                 const mach::MachineParams& params) {
+                                 const mach::Model& model) {
+  const mach::MachineParams& params = model.params();
   const tile::TiledSpace& space = plan.space;
   const Box& ts = space.tile_space();
   TILO_REQUIRE(ts.volume() <= (i64{1} << 22),
@@ -43,21 +44,26 @@ double critical_path_lower_bound(const TilePlan& plan,
           start, finish[static_cast<std::size_t>(ts.linear_index(prev))]);
     }
 
-    // Producers: cheapest conceivable pipeline (no CPU fills, no queueing).
+    // Producers: cheapest conceivable pipeline (no CPU fills, no queueing)
+    // on the producer -> consumer link.
     const std::vector<TileComm> ins = incoming(space, t);
+    const i64 dst_rank = plan.mapping.rank_of_tile(t);
     for (const TileComm& in : ins) {
       const Vec src = t - in.offset;
       const double src_finish =
           finish[static_cast<std::size_t>(ts.linear_index(src))];
-      if (plan.mapping.rank_of_tile(src) == plan.mapping.rank_of_tile(t)) {
+      const i64 src_rank = plan.mapping.rank_of_tile(src);
+      if (src_rank == dst_rank) {
         start = std::max(start, src_finish);
         continue;
       }
       const i64 bytes =
           util::checked_mul(in.points, params.bytes_per_element);
-      const double pipeline = 2.0 * params.fill_kernel_buffer.at(bytes) +
-                              params.t_t * static_cast<double>(bytes) +
-                              params.wire_latency;
+      const int s = static_cast<int>(src_rank);
+      const int d = static_cast<int>(dst_rank);
+      const double pipeline = 2.0 * model.fill_kernel_seconds(bytes) +
+                              2.0 * model.half_wire_seconds(bytes, s, d) +
+                              model.wire_latency_seconds(s, d);
       start = std::max(start, src_finish + pipeline);
     }
 

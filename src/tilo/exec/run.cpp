@@ -477,16 +477,6 @@ RunWorkspace::RunWorkspace(RunWorkspace&&) noexcept = default;
 RunWorkspace& RunWorkspace::operator=(RunWorkspace&&) noexcept = default;
 
 RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
-                   const mach::MachineParams& params,
-                   const RunOptions& opts, RunWorkspace* workspace) {
-  // Deprecation shim (kept one release): the ideal model's hooks compute
-  // the historical direct-params expressions, so this forward is exact.
-  return run_plan(nest, plan,
-                  std::make_shared<mach::IdealOverlapModel>(params), opts,
-                  workspace);
-}
-
-RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
                    std::shared_ptr<const mach::Model> model,
                    const RunOptions& opts, RunWorkspace* workspace) {
   TILO_REQUIRE(model != nullptr, "run_plan needs a machine model");
@@ -585,10 +575,10 @@ RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
 }
 
 double run_and_validate(const loop::LoopNest& nest, const TilePlan& plan,
-                        const mach::MachineParams& params) {
+                        std::shared_ptr<const mach::Model> model) {
   RunOptions opts;
   opts.functional = true;
-  const RunResult run = run_plan(nest, plan, params, opts);
+  const RunResult run = run_plan(nest, plan, std::move(model), opts);
   TILO_ASSERT(run.field.has_value(), "functional run produced no field");
   const loop::DenseField ref = loop::run_sequential(nest);
   return loop::max_abs_diff(*run.field, ref);

@@ -112,10 +112,12 @@ struct RunResult {
 
 class RunWorkspace;
 
-/// Runs the plan on a simulated cluster with the given machine parameters.
-/// The nest must be the one the plan's tiled space was built from.
-/// Throws util::Error if any rank program stalls (e.g. a lost message or a
-/// scheduling deadlock) instead of silently returning partial results.
+/// Runs the plan on a simulated cluster whose every stage cost (and any
+/// interference stall) comes from `model`; an IdealOverlapModel is the
+/// paper's machine.  The nest must be the one the plan's tiled space was
+/// built from.  Throws util::Error if any rank program stalls (e.g. a lost
+/// message or a scheduling deadlock) instead of silently returning partial
+/// results.
 ///
 /// `workspace` (optional) carries reusable buffers across runs: the
 /// per-rank state vector and the timed runs' communication table
@@ -124,15 +126,6 @@ class RunWorkspace;
 /// geometry (e.g. the overlap and non-overlap schedules at one tile height
 /// V) skips the table build; results are byte-identical with or without a
 /// workspace, and a workspace reused for another nest rebuilds.
-RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
-                   const mach::MachineParams& params,
-                   const RunOptions& opts = {},
-                   RunWorkspace* workspace = nullptr);
-
-/// Model-aware runs: every stage cost (and any interference stall) comes
-/// from `model`.  With an IdealOverlapModel the event trace — and thus
-/// every result field — is identical to the MachineParams overload, which
-/// in fact forwards here through the deprecation shim.
 RunResult run_plan(const loop::LoopNest& nest, const TilePlan& plan,
                    std::shared_ptr<const mach::Model> model,
                    const RunOptions& opts = {},
@@ -161,6 +154,6 @@ class RunWorkspace {
 /// Convenience: functional run + comparison against the sequential
 /// reference.  Returns the max absolute element difference.
 double run_and_validate(const loop::LoopNest& nest, const TilePlan& plan,
-                        const mach::MachineParams& params);
+                        std::shared_ptr<const mach::Model> model);
 
 }  // namespace tilo::exec

@@ -89,10 +89,14 @@ std::string execute_sweep_batch(const Json& j) {
 }
 
 std::string execute_scenario_unit(const Json& j) {
+  // A unit's machine reads the way a scenario file's does: the
+  // "machine_model" envelope, else the ideal model over a bare "machine";
+  // a unit that names neither keeps the default.
   pipeline::CompileOptions base;
-  if (const Json* m = j.find("machine"))
-    base.machine = pipeline::machine_from_json(*m);
-  base.model = unit_model(j);
+  if (const Json* machine = j.find("machine"))
+    base.model = pipeline::model_from_json(*machine);
+  if (const Json* envelope = j.find("machine_model"))
+    base.model = pipeline::model_from_json(*envelope);
   const svc::CompileParams params = svc::workload_from_json(j.at("workload"));
   const svc::Response resp = svc::execute_compile(base, params);
   if (resp.status == svc::RespStatus::kOk) return resp.result;
@@ -195,10 +199,13 @@ std::vector<WorkUnit> scenario_units(const pipeline::ScenarioFile& scenario) {
     Json j = Json::object();
     stamp_envelope(j, "scenario_workload");
     j.set("workload", svc::workload_to_json(params));
-    if (scenario.machine)
-      j.set("machine", pipeline::machine_to_json(*scenario.machine));
-    if (scenario.model)
-      j.set("machine_model", pipeline::model_to_json(*scenario.model));
+    // As in a plan document: "machine", plus the envelope only for a
+    // non-ideal model.
+    if (scenario.model) {
+      j.set("machine", pipeline::machine_to_json(scenario.model->params()));
+      if (!scenario.model->ideal())
+        j.set("machine_model", pipeline::model_to_json(*scenario.model));
+    }
     units.push_back(WorkUnit{i, j.dump()});
   }
   return units;

@@ -14,8 +14,11 @@
 //
 // Either kind may additionally carry "machine_model" (a serialized
 // mach::Model envelope, see pipeline/serialize.hpp) when the sweep or
-// scenario runs under a non-default machine model; payloads without it —
-// every pre-model payload — execute the historical params path unchanged.
+// scenario runs under a non-ideal machine model; the envelope wins over
+// "machine".  A scenario unit is written the way plan_to_json writes a
+// plan: "machine" is the model's params, the envelope appears only for a
+// non-ideal model, and a unit with neither key compiles on the default
+// machine.
 //
 // Unit results are canonical dumps too (a serialized core::SweepPoint, or
 // the svc compile result object), which is what makes the controller's

@@ -6,17 +6,10 @@
 
 namespace tilo::msg {
 
-Cluster::Cluster(int num_nodes, const mach::MachineParams& params,
-                 mach::OverlapLevel level, Network network,
-                 obs::Sink* sink, Protocol protocol)
-    : Cluster(num_nodes,
-              std::make_shared<mach::IdealOverlapModel>(params), level,
-              network, sink, protocol) {}
-
 Cluster::Cluster(int num_nodes, std::shared_ptr<const mach::Model> model,
                  mach::OverlapLevel level, Network network,
                  obs::Sink* sink, Protocol protocol)
-    : model_(std::move(model)), params_(model_->params()), level_(level),
+    : model_(std::move(model)), level_(level),
       network_(network), protocol_(protocol), sink_(sink) {
   engine_.set_sink(sink_);
   TILO_REQUIRE(num_nodes >= 1, "cluster needs at least one node");

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "tilo/machine/model.hpp"
-#include "tilo/machine/params.hpp"
 #include "tilo/msg/endpoint.hpp"
 #include "tilo/obs/sink.hpp"
 #include "tilo/sim/engine.hpp"
@@ -47,18 +46,8 @@ class Cluster {
           obs::Sink* sink = nullptr,
           Protocol protocol = Protocol::kEager);
 
-  /// Deprecation shim: wraps `params` in an IdealOverlapModel, whose hook
-  /// expressions match the historical direct-params arithmetic bit for
-  /// bit.  Kept for one release; migrate to the model constructor.
-  Cluster(int num_nodes, const mach::MachineParams& params,
-          mach::OverlapLevel level = mach::OverlapLevel::kDma,
-          Network network = Network::kSwitched,
-          obs::Sink* sink = nullptr,
-          Protocol protocol = Protocol::kEager);
-
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   sim::Engine& engine() { return engine_; }
-  const mach::MachineParams& params() const { return params_; }
   const mach::Model& model() const { return *model_; }
   mach::OverlapLevel level() const { return level_; }
   Protocol protocol() const { return protocol_; }
@@ -163,7 +152,6 @@ class Cluster {
 
   sim::Engine engine_;
   std::shared_ptr<const mach::Model> model_;
-  mach::MachineParams params_;  // = model_->params(), cached for callers
   mach::OverlapLevel level_;
   Network network_;
   Protocol protocol_;

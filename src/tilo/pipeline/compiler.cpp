@@ -48,13 +48,6 @@ void timed_stage(Stage stage, const CompileOptions& opts,
   }
 }
 
-/// The machine model a compile costs through: the options' own, or the
-/// ideal model over their machine.
-std::shared_ptr<const mach::Model> resolve_model(const CompileOptions& opts) {
-  if (opts.model) return opts.model;
-  return std::make_shared<const mach::IdealOverlapModel>(opts.machine);
-}
-
 BackendConfig backend_config(const CompileOptions& opts) {
   BackendConfig config;
   config.simulate = opts.simulate;
@@ -70,8 +63,9 @@ BackendConfig backend_config(const CompileOptions& opts) {
 
 void Compiler::run_stages(ArtifactStore& store, const CompileOptions& opts,
                           const std::string& label, int lane) const {
+  TILO_REQUIRE(opts.model != nullptr, "compile needs a machine model");
   const workload::Kind wkind = opts.workload_kind;
-  const std::shared_ptr<const mach::Model> model = resolve_model(opts);
+  const std::shared_ptr<const mach::Model>& model = opts.model;
 
   if (wkind == workload::Kind::kTileDag) {
     // DAG workloads skip Tiling/Scheduling/Lowering: the task graph is its
@@ -172,7 +166,8 @@ ArtifactStore Compiler::compile_nest(const loop::LoopNest& nest) const {
 ArtifactStore Compiler::replay(const loop::LoopNest& nest,
                                std::shared_ptr<const mach::Model> model,
                                const exec::TilePlan& plan) const {
-  if (!model) model = resolve_model(opts_);
+  if (!model) model = opts_.model;
+  TILO_REQUIRE(model != nullptr, "replay needs a machine model");
   CompileOptions opts = opts_;
   opts.kind = plan.kind;
 
@@ -223,7 +218,6 @@ std::vector<ArtifactStore> Compiler::compile(
   for (std::size_t i = 0; i < scenario.workloads.size(); ++i) {
     const ScenarioWorkload& wl = scenario.workloads[i];
     CompileOptions opts = opts_;
-    if (scenario.machine) opts.machine = *scenario.machine;
     if (scenario.model) opts.model = scenario.model;
     if (wl.procs) {
       opts.procs = wl.procs;

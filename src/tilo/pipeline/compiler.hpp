@@ -26,11 +26,12 @@ namespace tilo::pipeline {
 /// Everything a compilation might need; per-scenario-workload fields can
 /// override procs/auto_procs/height/kind.
 struct CompileOptions {
-  mach::MachineParams machine = mach::MachineParams::paper_cluster();
-  /// Optional machine model.  It supplies every cost (ranking, prediction,
-  /// simulation), and `machine` is ignored in favor of model->params();
-  /// nullptr means an IdealOverlapModel over `machine`.
-  std::shared_ptr<const mach::Model> model;
+  /// The machine model that supplies every cost (ranking, prediction,
+  /// simulation); its params() are the machine.  Defaults to the paper's
+  /// ideal-overlap cluster.  A null model is rejected by the compile.
+  std::shared_ptr<const mach::Model> model =
+      std::make_shared<const mach::IdealOverlapModel>(
+          mach::MachineParams::paper_cluster());
   std::optional<lat::Vec> procs;        ///< explicit grid
   std::optional<util::i64> auto_procs;  ///< planner budget (wins over procs)
   std::optional<util::i64> height;      ///< tile height V; empty = analytic
@@ -81,8 +82,9 @@ class Compiler {
                        const exec::TilePlan& plan) const;
 
   /// Compiles every workload of a scenario in one invocation; workload i's
-  /// stage spans land on lane i.  The scenario's machine (when present)
-  /// overrides the compiler's.
+  /// stage spans land on lane i.  The scenario's machine (when present, as
+  /// a "machine_model" envelope or a bare "machine") overrides the
+  /// compiler's model.
   std::vector<ArtifactStore> compile(const ScenarioFile& scenario) const;
 
  private:

@@ -10,11 +10,11 @@
 namespace tilo::core {
 
 Recommendation recommend_plan(const loop::LoopNest& nest,
-                              const mach::MachineParams& machine,
+                              std::shared_ptr<const mach::Model> model,
                               util::i64 total_procs,
                               sched::ScheduleKind kind) {
   pipeline::CompileOptions opts;
-  opts.machine = machine;
+  opts.model = std::move(model);
   opts.auto_procs = total_procs;
   opts.kind = kind;
   opts.simulate = false;  // planning only: stop after Lowering's verify

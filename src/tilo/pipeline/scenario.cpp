@@ -17,12 +17,12 @@ ScenarioFile scenario_from_json(const Json& j) {
                " (this build reads version ", kSchemaVersion, ")");
 
   ScenarioFile file;
+  // A bare "machine" reads back as the ideal model over it; a
+  // "machine_model" envelope wins over it.
   if (const Json* machine = j.find("machine"))
-    file.machine = machine_from_json(*machine);
-  if (const Json* model = j.find("machine_model")) {
-    file.model = model_from_json(*model);
-    if (!file.machine) file.machine = file.model->params();
-  }
+    file.model = model_from_json(*machine);
+  if (const Json* envelope = j.find("machine_model"))
+    file.model = model_from_json(*envelope);
 
   const Json::Array& workloads = j.at("workloads").as_array("workloads");
   TILO_REQUIRE(!workloads.empty(), "scenario has no workloads");

@@ -2,8 +2,9 @@
 // invocation.
 //
 //   {"tilo": "scenario", "version": 1,
-//    "machine": { ... },                    // optional; default paper cluster
+//    "machine": { ... },                    // optional bare machine
 //    "machine_model": { ... },              // optional machine_model envelope
+//                                           //   (wins over "machine")
 //    "workloads": [
 //      {"name": "wl1",
 //       "source": "FOR i = 0 TO 15 ...",    // loop-nest grammar text
@@ -16,8 +17,10 @@
 //       "schedule": "overlap"},             // optional; default overlap
 //      ...]}
 //
-// Per-workload fields override the compiler's defaults; absent fields fall
-// back to them.  `auto_procs` wins over `procs` when both are present.
+// The file's machine, in either form, overrides the compiler's model;
+// with neither key the compiler's model applies.  Per-workload fields
+// override the compiler's defaults; absent fields fall back to them.
+// `auto_procs` wins over `procs` when both are present.
 // "kind" selects the workload family ("source" is the generator spec for
 // DAGs, e.g. "cholesky nt=6 b=32"); an absent "kind" means uniform, so
 // every pre-existing scenario file parses and compiles unchanged — the
@@ -32,7 +35,6 @@
 
 #include "tilo/lattice/vec.hpp"
 #include "tilo/machine/model.hpp"
-#include "tilo/machine/params.hpp"
 #include "tilo/pipeline/json.hpp"
 #include "tilo/sched/tiled.hpp"
 #include "tilo/workload/workload.hpp"
@@ -55,10 +57,9 @@ struct ScenarioWorkload {
 
 /// A parsed scenario file.
 struct ScenarioFile {
-  std::optional<mach::MachineParams> machine;
-  /// Optional "machine_model" envelope (see serialize.hpp).  When present
-  /// it supplies both the model and (when "machine" is absent) the scalar
-  /// machine parameters.
+  /// The file's machine: its "machine_model" envelope (see serialize.hpp)
+  /// when it has one, else the ideal model over its bare "machine"; null
+  /// when the file names neither, so the compiler's model applies.
   std::shared_ptr<const mach::Model> model;
   std::vector<ScenarioWorkload> workloads;
 };

@@ -52,22 +52,19 @@ loop::LoopNest nest_from_json(const Json& j);
 /// A self-contained, replayable plan.
 struct PlanBundle {
   loop::LoopNest nest;
-  mach::MachineParams machine;
   exec::TilePlan plan;
   /// The machine model the plan was compiled under (never null): the
   /// document's "machine_model" envelope when it has one, else the ideal
-  /// model over `machine`.
+  /// model over its "machine".
   std::shared_ptr<const mach::Model> model;
 };
 
-/// Writes a plan bundle.  A non-ideal `model` is written as a
-/// "machine_model" envelope next to `machine`; an ideal or absent model
-/// writes `machine` alone, which reads back as the ideal model over it (so
-/// ideal-model plans keep their historical bytes).
-Json plan_to_json(const loop::LoopNest& nest,
-                  const mach::MachineParams& machine,
-                  const exec::TilePlan& plan,
-                  const mach::Model* model = nullptr);
+/// Writes a plan bundle.  "machine" is model.params(); a non-ideal model
+/// is also written as a "machine_model" envelope next to it.  An ideal
+/// model writes "machine" alone, which reads back as the ideal model over
+/// it (so ideal-model plans keep their historical bytes).
+Json plan_to_json(const loop::LoopNest& nest, const exec::TilePlan& plan,
+                  const mach::Model& model);
 PlanBundle plan_from_json(const Json& j);
 
 Json recommendation_to_json(const core::Recommendation& rec);

@@ -31,11 +31,11 @@ Response execute_compile(const pipeline::CompileOptions& base,
     opts.workload_kind = workload::Kind::kUniformNest;
   }
   opts.constraints = params.constraints;
-  if (!params.model.empty()) {
-    const mach::MachineParams& machine =
-        opts.model ? opts.model->params() : opts.machine;
+  // A named model is built over the server's own machine.  (A null base
+  // model is left for the compile below to reject.)
+  if (!params.model.empty() && opts.model) {
     std::shared_ptr<const mach::Model> model =
-        mach::make_model(params.model, machine);
+        mach::make_model(params.model, opts.model->params());
     if (!model) {
       resp.status = RespStatus::kBadRequest;
       std::string names;
@@ -94,10 +94,8 @@ Response execute_compile(const pipeline::CompileOptions& base,
     if (params.simulate && out.backend().run)
       r.set("simulated_seconds", Json::number(out.backend().run->seconds));
     if (params.include_plan) {
-      const core::Problem& problem = out.analysis().problem;
-      r.set("plan", pipeline::plan_to_json(out.nest(), problem.machine,
-                                           *out.plan().plan,
-                                           problem.model.get()));
+      r.set("plan", pipeline::plan_to_json(out.nest(), *out.plan().plan,
+                                           *out.analysis().problem.model));
     }
     resp.result = r.dump();
   } catch (const util::Error& e) {

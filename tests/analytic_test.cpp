@@ -71,6 +71,7 @@ TEST(AnalyticTest, LandsInFlatBasinOfSimulatedCurve) {
   // t_sim(V_analytic) within 5 % of the swept simulated optimum.
   for (const Problem& p : {core::paper_problem_i(),
                            core::paper_problem_iii()}) {
+    const auto model = std::make_shared<mach::IdealOverlapModel>(p.machine);
     for (auto kind : {sched::ScheduleKind::kOverlap,
                       sched::ScheduleKind::kNonOverlap}) {
       const core::AnalyticOptimum opt =
@@ -78,7 +79,7 @@ TEST(AnalyticTest, LandsInFlatBasinOfSimulatedCurve) {
               ? core::analytic_optimal_height_overlap(p)
               : core::analytic_optimal_height_nonoverlap(p);
       const double at_analytic =
-          exec::run_plan(p.nest, p.plan(opt.V, kind), p.machine).seconds;
+          exec::run_plan(p.nest, p.plan(opt.V, kind), model).seconds;
       const core::Autotune swept = core::autotune_tile_height(
           p, kind, 16, p.max_tile_height() / 4);
       EXPECT_LE(at_analytic, 1.05 * swept.t_opt)

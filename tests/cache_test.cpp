@@ -16,6 +16,14 @@ using mach::CacheModel;
 using sched::ScheduleKind;
 using util::i64;
 
+namespace {
+
+std::shared_ptr<const mach::Model> ideal_model(const mach::MachineParams& p) {
+  return std::make_shared<mach::IdealOverlapModel>(p);
+}
+
+}  // namespace
+
 TEST(CacheModelTest, FactorSaturatesSmoothly) {
   CacheModel cache{1024, 2.0};
   EXPECT_DOUBLE_EQ(cache.factor(0), 1.0);
@@ -39,8 +47,10 @@ TEST(CacheModelTest, SpillingTilesSlowTheSimulationDown) {
   mach::MachineParams small_cache = base;
   // 4x4x64 floats = 4 KiB tiles; a 1 KiB cache makes them spill hard.
   small_cache.cache = CacheModel{1024, 4.0};
-  const double t_base = exec::run_plan(nest, plan, base).seconds;
-  const double t_cache = exec::run_plan(nest, plan, small_cache).seconds;
+  const double t_base =
+      exec::run_plan(nest, plan, ideal_model(base)).seconds;
+  const double t_cache =
+      exec::run_plan(nest, plan, ideal_model(small_cache)).seconds;
   EXPECT_GT(t_cache, 1.5 * t_base);
 }
 
@@ -53,9 +63,11 @@ TEST(CacheModelTest, SimulatedPenaltyRatioMatchesTheModelFactor) {
                   mach::MachineParams::paper_cluster(), Vec{4, 4, 1},
                   nullptr};
   const exec::TilePlan plan = p.plan(512, ScheduleKind::kOverlap);
-  const double t_plain = exec::run_plan(p.nest, plan, p.machine).seconds;
+  const double t_plain =
+      exec::run_plan(p.nest, plan, ideal_model(p.machine)).seconds;
   p.machine.cache = CacheModel{8 * 1024, 3.0};
-  const double t_cache = exec::run_plan(p.nest, plan, p.machine).seconds;
+  const double t_cache =
+      exec::run_plan(p.nest, plan, ideal_model(p.machine)).seconds;
   const mach::StepShape shape = core::steady_step_shape(plan, p.machine);
   const double factor = p.machine.cache.factor(shape.working_set_bytes);
   ASSERT_GT(factor, 2.0);  // the configuration really spills
@@ -87,5 +99,5 @@ TEST(CacheModelTest, FunctionalResultsUnaffectedByTiming) {
       nest, tile::RectTiling(Vec{4, 4, 6}), ScheduleKind::kOverlap);
   mach::MachineParams m = mach::MachineParams::paper_cluster();
   m.cache = CacheModel{512, 5.0};
-  EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, m), 0.0);
+  EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, ideal_model(m)), 0.0);
 }

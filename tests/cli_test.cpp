@@ -10,8 +10,10 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "tilo/machine/model.hpp"
+#include "tilo/pipeline/serialize.hpp"
 #include "tilo/sched/fleet_policy.hpp"
 #include "tilo/workload/workload.hpp"
 
@@ -47,6 +49,27 @@ std::pair<int, std::string> run_cli(const std::string& args) {
   std::ostringstream body;
   body << in.rdbuf();
   return {rc, body.str()};
+}
+
+/// The paper cluster with 10x its compute cost t_c, as bare machine JSON.
+std::string slow_machine_json() {
+  tilo::mach::MachineParams slow = tilo::mach::MachineParams::paper_cluster();
+  slow.t_c *= 10;
+  return tilo::pipeline::machine_to_json(slow).dump();
+}
+
+/// Writes `body` to `name` under the test temp dir and returns the path.
+std::string write_temp(const std::string& name, const std::string& body) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream(path) << body;
+  return path;
+}
+
+/// The "simulated <t> ms" figure of the first workload line in `out`.
+std::string simulated_figure(const std::string& out) {
+  const std::size_t at = out.find("simulated ");
+  if (at == std::string::npos) return "<none>";
+  return out.substr(at, out.find(" ms", at) - at);
 }
 
 }  // namespace
@@ -460,4 +483,70 @@ TEST(CliTest, CalibrateWritesALoadableModel) {
 TEST(CliTest, CalibrateToUnwritablePathExitsThree) {
   const auto [rc, out] = run_cli("--calibrate /no/such/dir/model.json");
   EXPECT_EQ(rc, kExitFileIo) << out;
+}
+
+TEST(CliTest, ScenarioMachineWinsOverModelFlag) {
+  // The scenario file names a bare "machine" (the paper cluster at 10x
+  // t_c).  The file is the more specific request: its machine wins over
+  // --model/--machine, locally and through the fleet.
+  const std::string source =
+      "FOR i = 0 TO 15\n FOR j = 0 TO 15\n  FOR k = 0 TO 1023\n"
+      "   A(i, j, k) = A(i-1, j, k) + A(i, j-1, k) + A(i, j, k-1)\n"
+      "  ENDFOR\n ENDFOR\nENDFOR\n";
+  const std::string workloads =
+      R"("workloads": [{"name": "w", "source": )" +
+      tilo::pipeline::Json::string(source).dump() +
+      R"(, "procs": [4, 4, 1], "height": 64}]})";
+  const std::string with_machine = write_temp(
+      "cli_scn_m.json", R"({"tilo": "scenario", "version": 1, "machine": )" +
+                            slow_machine_json() + ", " + workloads);
+  const std::string without = write_temp(
+      "cli_scn_nom.json",
+      R"({"tilo": "scenario", "version": 1, )" + workloads);
+
+  const auto [rc, out] = run_cli("--scenario " + with_machine);
+  ASSERT_EQ(rc, 0) << out;
+  const std::string expect = simulated_figure(out);
+  const auto [paper_rc, paper_out] = run_cli("--scenario " + without);
+  ASSERT_EQ(paper_rc, 0) << paper_out;
+  EXPECT_NE(simulated_figure(paper_out), expect) << out << paper_out;
+
+  const std::string sock = ::testing::TempDir() + "cli_scn_fleet.sock";
+  const std::vector<std::string> flag_sets = {
+      "--model ideal", "--model interference",
+      "--machine " + write_temp("cli_scn_flag.json", slow_machine_json())};
+  for (const std::string& flags : flag_sets) {
+    const auto [local_rc, local_out] =
+        run_cli(flags + " --scenario " + with_machine);
+    ASSERT_EQ(local_rc, 0) << local_out;
+    EXPECT_EQ(simulated_figure(local_out), expect) << flags << local_out;
+
+    std::remove(sock.c_str());
+    const auto [fleet_rc, fleet_out] =
+        run_cli(flags + " --fleet-controller unix:" + sock +
+                " --fleet-local 1 --scenario " + with_machine);
+    ASSERT_EQ(fleet_rc, 0) << fleet_out;
+    EXPECT_EQ(simulated_figure(fleet_out), expect) << flags << fleet_out;
+  }
+}
+
+TEST(CliTest, ServerModesRejectAMachineFlag) {
+  // A server compiles on one machine (svc::problem_key holds only the
+  // request), so --serve takes neither --machine nor --model, and
+  // --connect takes no --machine.  The address is unbindable on purpose:
+  // exit 2 rather than 5 shows the flags were rejected before any socket
+  // was opened.
+  const std::string machine =
+      write_temp("cli_server_machine.json", slow_machine_json());
+  const std::string addr =
+      " unix:" + ::testing::TempDir() + "no_such_dir/cli_reject.sock";
+  const std::vector<std::string> arg_sets = {
+      "--serve" + addr + " --machine " + machine,
+      "--serve" + addr + " --model interference",
+      "--connect" + addr + " --machine " + machine + " --height 64"};
+  for (const std::string& args : arg_sets) {
+    const auto [rc, out] = run_cli(args);
+    EXPECT_EQ(rc, kExitUsage) << args << '\n' << out;
+    EXPECT_NE(out.find("--machine"), std::string::npos) << out;
+  }
 }

@@ -1,8 +1,11 @@
 // Configuration-matrix property suite: functional correctness must hold
-// for every combination of overlap level, network model and protocol —
-// machine configuration may change *timing*, never *values*.
+// for every combination of overlap level, network model, protocol and
+// machine model — machine configuration may change *timing*, never
+// *values*.  The machine model is the matrix's fourth axis: every
+// configuration's test runs once per mach::model_names() entry.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "tilo/exec/run.hpp"
@@ -29,6 +32,11 @@ mach::MachineParams varied_params() {
   return p;
 }
 
+/// The registry model `name` over the varied machine.
+std::shared_ptr<const mach::Model> varied_model(const std::string& name) {
+  return mach::make_model(name, varied_params());
+}
+
 }  // namespace
 
 using Config = std::tuple<OverlapLevel, Network, Protocol>;
@@ -45,10 +53,13 @@ TEST_P(ConfigMatrixTest, OverlapScheduleValuesInvariant) {
   opts.comm.level = level;
   opts.comm.network = network;
   opts.comm.protocol = protocol;
-  const exec::RunResult run =
-      exec::run_plan(nest, plan, varied_params(), opts);
   const loop::DenseField ref = loop::run_sequential(nest);
-  EXPECT_DOUBLE_EQ(loop::max_abs_diff(*run.field, ref), 0.0);
+  for (const std::string& name : mach::model_names()) {
+    SCOPED_TRACE(name);
+    const exec::RunResult run =
+        exec::run_plan(nest, plan, varied_model(name), opts);
+    EXPECT_DOUBLE_EQ(loop::max_abs_diff(*run.field, ref), 0.0);
+  }
 }
 
 TEST_P(ConfigMatrixTest, TimingDeterministicPerConfig) {
@@ -60,11 +71,14 @@ TEST_P(ConfigMatrixTest, TimingDeterministicPerConfig) {
   opts.comm.level = level;
   opts.comm.network = network;
   opts.comm.protocol = protocol;
-  const auto a = exec::run_plan(nest, plan, varied_params(), opts);
-  const auto b = exec::run_plan(nest, plan, varied_params(), opts);
-  EXPECT_EQ(a.completion, b.completion);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.messages, b.messages);
+  for (const std::string& name : mach::model_names()) {
+    SCOPED_TRACE(name);
+    const auto a = exec::run_plan(nest, plan, varied_model(name), opts);
+    const auto b = exec::run_plan(nest, plan, varied_model(name), opts);
+    EXPECT_EQ(a.completion, b.completion);
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.messages, b.messages);
+  }
 }
 
 namespace {
@@ -99,10 +113,13 @@ TEST_P(BlockingConfigTest, NonOverlapScheduleValuesInvariant) {
   exec::RunOptions opts;
   opts.functional = true;
   opts.comm.network = GetParam();
-  const exec::RunResult run =
-      exec::run_plan(nest, plan, varied_params(), opts);
-  EXPECT_DOUBLE_EQ(
-      loop::max_abs_diff(*run.field, loop::run_sequential(nest)), 0.0);
+  const loop::DenseField ref = loop::run_sequential(nest);
+  for (const std::string& name : mach::model_names()) {
+    SCOPED_TRACE(name);
+    const exec::RunResult run =
+        exec::run_plan(nest, plan, varied_model(name), opts);
+    EXPECT_DOUBLE_EQ(loop::max_abs_diff(*run.field, ref), 0.0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Networks, BlockingConfigTest,

@@ -64,9 +64,9 @@ TEST(PredictTest, PredictionTracksSimulationForOverlap) {
   // percent of the discrete-event simulation.
   const Problem p = small_problem();
   const exec::TilePlan plan = p.plan(64, ScheduleKind::kOverlap);
-  const double predicted =
-      core::predict_completion(plan, mach::IdealOverlapModel(p.machine));
-  const double simulated = exec::run_plan(p.nest, plan, p.machine).seconds;
+  const auto model = std::make_shared<mach::IdealOverlapModel>(p.machine);
+  const double predicted = core::predict_completion(plan, *model);
+  const double simulated = exec::run_plan(p.nest, plan, model).seconds;
   EXPECT_NEAR(simulated, predicted, 0.15 * predicted);
 }
 

@@ -35,6 +35,12 @@ Problem problem_for_space(int space) {
   }
 }
 
+/// The ideal model over a problem's machine (the paper problems carry no
+/// model of their own).
+std::shared_ptr<const tilo::mach::Model> ideal_model(const Problem& problem) {
+  return std::make_shared<tilo::mach::IdealOverlapModel>(problem.machine);
+}
+
 struct RunGolden {
   int space;
   i64 V;
@@ -65,7 +71,7 @@ TEST(DeterminismTest, TimedRunsMatchSeedGoldens) {
     const Problem problem = problem_for_space(g.space);
     const tilo::exec::TilePlan plan = problem.plan(g.V, g.kind);
     const tilo::exec::RunResult r =
-        tilo::exec::run_plan(problem.nest, plan, problem.machine);
+        tilo::exec::run_plan(problem.nest, plan, ideal_model(problem));
     EXPECT_EQ(r.completion, g.completion)
         << "space " << g.space << " V " << g.V;
     EXPECT_EQ(r.events, g.events) << "space " << g.space << " V " << g.V;
@@ -79,7 +85,7 @@ std::string timeline_csv(const Problem& problem, i64 V, ScheduleKind kind,
   tilo::trace::Timeline tl;
   tilo::exec::RunOptions opts;
   opts.sink = &tl;
-  tilo::exec::run_plan(problem.nest, plan, problem.machine, opts, ws);
+  tilo::exec::run_plan(problem.nest, plan, ideal_model(problem), opts, ws);
   std::ostringstream os;
   tl.write_csv(os);
   return os.str();
@@ -195,17 +201,18 @@ TEST(DeterminismTest, ReusedWorkspaceMatchesFreshRunForAnotherNest) {
                DependenceSet({Vec{1, 1, 0}, Vec{0, 1, 0}, Vec{0, 0, 2}})),
       machine, Vec{4, 4, 1}, nullptr};
   const i64 V = 64;
+  const auto model = std::make_shared<tilo::mach::IdealOverlapModel>(machine);
 
   for (const ScheduleKind kind :
        {ScheduleKind::kOverlap, ScheduleKind::kNonOverlap}) {
     const tilo::exec::TilePlan plan_a = a.plan(V, kind);
     const tilo::exec::TilePlan plan_b = b.plan(V, kind);
     const tilo::exec::RunResult fresh =
-        tilo::exec::run_plan(b.nest, plan_b, b.machine);
+        tilo::exec::run_plan(b.nest, plan_b, model);
     tilo::exec::RunWorkspace ws;
-    tilo::exec::run_plan(a.nest, plan_a, a.machine, {}, &ws);
+    tilo::exec::run_plan(a.nest, plan_a, model, {}, &ws);
     const tilo::exec::RunResult reused =
-        tilo::exec::run_plan(b.nest, plan_b, b.machine, {}, &ws);
+        tilo::exec::run_plan(b.nest, plan_b, model, {}, &ws);
     EXPECT_EQ(reused.completion, fresh.completion);
     EXPECT_EQ(reused.messages, fresh.messages);
     EXPECT_EQ(reused.bytes, fresh.bytes);

@@ -34,6 +34,15 @@ mach::MachineParams fast_params() {
   return p;
 }
 
+std::shared_ptr<const mach::Model> fast_model() {
+  return std::make_shared<mach::IdealOverlapModel>(fast_params());
+}
+
+std::shared_ptr<const mach::Model> paper_model() {
+  return std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
+}
+
 RunOptions functional_run() {
   RunOptions opts;
   opts.functional = true;
@@ -47,7 +56,7 @@ TEST(ExecFunctionalTest, Stencil3DBothSchedulesMatchSequential) {
   for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
     const TilePlan plan =
         exec::make_plan(nest, RectTiling(Vec{4, 4, 6}), kind);
-    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_params()), 0.0)
+    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_model()), 0.0)
         << "kind " << static_cast<int>(kind);
   }
 }
@@ -59,7 +68,7 @@ TEST(ExecFunctionalTest, Example1DiagonalDepsMatchSequential) {
   for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
     const TilePlan plan = exec::make_plan_explicit(
         nest, RectTiling(Vec{10, 2}), kind, 0, Vec{1, 5});
-    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_params()), 0.0);
+    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_model()), 0.0);
   }
 }
 
@@ -69,7 +78,7 @@ TEST(ExecFunctionalTest, PartialBoundaryTiles) {
   for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
     const TilePlan plan =
         exec::make_plan(nest, RectTiling(Vec{3, 4, 5}), kind);
-    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_params()), 0.0);
+    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_model()), 0.0);
   }
 }
 
@@ -80,7 +89,7 @@ TEST(ExecFunctionalTest, BlockDistributionMultipleColumnsPerRank) {
     const TilePlan plan = exec::make_plan_with_procs(
         nest, RectTiling(Vec{4, 4, 8}), kind, Vec{2, 2, 1});
     EXPECT_EQ(plan.mapping.num_ranks(), 4);
-    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_params()), 0.0);
+    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_model()), 0.0);
   }
 }
 
@@ -88,10 +97,10 @@ TEST(ExecFunctionalTest, SingleRankDegenerateCase) {
   const LoopNest nest = loop::stencil3d_nest(4, 4, 8);
   const TilePlan plan = exec::make_plan_with_procs(
       nest, RectTiling(Vec{4, 4, 2}), ScheduleKind::kOverlap, Vec{1, 1, 1});
-  const RunResult r = exec::run_plan(nest, plan, fast_params(),
+  const RunResult r = exec::run_plan(nest, plan, fast_model(),
                                      functional_run());
   EXPECT_EQ(r.messages, 0);  // everything is rank-local
-  EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_params()), 0.0);
+  EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_model()), 0.0);
 }
 
 TEST(ExecFunctionalTest, ThickDependencesAcrossRanks) {
@@ -101,7 +110,7 @@ TEST(ExecFunctionalTest, ThickDependencesAcrossRanks) {
   for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
     const TilePlan plan = exec::make_plan_explicit(
         nest, RectTiling(Vec{4, 6}), kind, 1, Vec{3, 1});
-    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_params()), 0.0);
+    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, fast_model()), 0.0);
   }
 }
 
@@ -111,7 +120,7 @@ TEST(ExecTimedTest, MessageCountMatchesGeometry) {
   const LoopNest nest = loop::stencil3d_nest(8, 8, 16);
   const TilePlan plan = exec::make_plan(nest, RectTiling(Vec{4, 4, 4}),
                                         ScheduleKind::kOverlap);
-  const RunResult r = exec::run_plan(nest, plan, fast_params());
+  const RunResult r = exec::run_plan(nest, plan, fast_model());
   // Directions (1,0,0): tiles with t0 = 0 (2 x 4 k-steps... per geometry:
   // source tiles t with t+e in space and different rank:
   // e=(1,0,0): 1*2*4 = 8; e=(0,1,0): 2*1*4 = 8.  Total 16.
@@ -124,8 +133,8 @@ TEST(ExecTimedTest, DeterministicAcrossRuns) {
   const LoopNest nest = loop::stencil3d_nest(8, 8, 32);
   const TilePlan plan = exec::make_plan(nest, RectTiling(Vec{4, 4, 4}),
                                         ScheduleKind::kOverlap);
-  const RunResult a = exec::run_plan(nest, plan, fast_params());
-  const RunResult b = exec::run_plan(nest, plan, fast_params());
+  const RunResult a = exec::run_plan(nest, plan, fast_model());
+  const RunResult b = exec::run_plan(nest, plan, fast_model());
   EXPECT_EQ(a.completion, b.completion);
   EXPECT_EQ(a.events, b.events);
 }
@@ -133,13 +142,13 @@ TEST(ExecTimedTest, DeterministicAcrossRuns) {
 TEST(ExecTimedTest, OverlapBeatsNonOverlapOnCommHeavyProblem) {
   // The paper's headline claim, on a scaled-down experiment.
   const LoopNest nest = loop::stencil3d_nest(8, 8, 256);
-  const mach::MachineParams p = mach::MachineParams::paper_cluster();
+  const auto model = paper_model();
   const TilePlan over = exec::make_plan(nest, RectTiling(Vec{4, 4, 16}),
                                         ScheduleKind::kOverlap);
   const TilePlan non = exec::make_plan(nest, RectTiling(Vec{4, 4, 16}),
                                        ScheduleKind::kNonOverlap);
-  const double t_over = exec::run_plan(nest, over, p).seconds;
-  const double t_non = exec::run_plan(nest, non, p).seconds;
+  const double t_over = exec::run_plan(nest, over, model).seconds;
+  const double t_non = exec::run_plan(nest, non, model).seconds;
   EXPECT_LT(t_over, t_non);
 }
 
@@ -149,8 +158,8 @@ TEST(ExecTimedTest, FunctionalAndTimedRunsHaveIdenticalTiming) {
   for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
     const TilePlan plan =
         exec::make_plan(nest, RectTiling(Vec{4, 4, 4}), kind);
-    const RunResult timed = exec::run_plan(nest, plan, fast_params());
-    const RunResult func = exec::run_plan(nest, plan, fast_params(),
+    const RunResult timed = exec::run_plan(nest, plan, fast_model());
+    const RunResult func = exec::run_plan(nest, plan, fast_model(),
                                           functional_run());
     EXPECT_EQ(timed.completion, func.completion);
     EXPECT_EQ(timed.messages, func.messages);
@@ -168,9 +177,9 @@ TEST(ExecTimedTest, TimedMatchesFunctionalWhenLowTileIsThinnerThanADep) {
   for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
     const TilePlan plan = exec::make_plan_explicit(
         nest, RectTiling(Vec{3, 3}), kind, 1, Vec{4, 1});
-    const RunResult timed = exec::run_plan(nest, plan, fast_params());
+    const RunResult timed = exec::run_plan(nest, plan, fast_model());
     const RunResult func =
-        exec::run_plan(nest, plan, fast_params(), functional_run());
+        exec::run_plan(nest, plan, fast_model(), functional_run());
     EXPECT_EQ(timed.completion, func.completion);
     EXPECT_EQ(timed.bytes, func.bytes);
     EXPECT_EQ(timed.traffic, func.traffic);
@@ -184,7 +193,7 @@ TEST(ExecTimedTest, TimelineShowsPipelinedComputePhases) {
   trace::Timeline tl;
   RunOptions opts;
   opts.sink = &tl;
-  const RunResult r = exec::run_plan(nest, plan, fast_params(), opts);
+  const RunResult r = exec::run_plan(nest, plan, fast_model(), opts);
   EXPECT_EQ(tl.makespan(), r.completion);
   // Every rank computes the same total tile volume.
   const sim::Time c0 = tl.phase_time(0, trace::Phase::kCompute);
@@ -197,12 +206,12 @@ TEST(ExecTimedTest, DuplexLevelNotSlowerThanSharedDma) {
   const LoopNest nest = loop::stencil3d_nest(8, 8, 128);
   const TilePlan plan = exec::make_plan(nest, RectTiling(Vec{4, 4, 4}),
                                         ScheduleKind::kOverlap);
-  const mach::MachineParams p = mach::MachineParams::paper_cluster();
+  const auto model = paper_model();
   RunOptions dma;
   RunOptions duplex;
   duplex.comm.level = mach::OverlapLevel::kDuplexDma;
-  EXPECT_LE(exec::run_plan(nest, plan, p, duplex).seconds,
-            exec::run_plan(nest, plan, p, dma).seconds);
+  EXPECT_LE(exec::run_plan(nest, plan, model, duplex).seconds,
+            exec::run_plan(nest, plan, model, dma).seconds);
 }
 
 TEST(ExecTimedTest, SharedBusSlowerThanSwitch) {
@@ -211,11 +220,12 @@ TEST(ExecTimedTest, SharedBusSlowerThanSwitch) {
                                         ScheduleKind::kOverlap);
   mach::MachineParams p = mach::MachineParams::paper_cluster();
   p.t_t = 0.8e-6;  // make wire time dominant so the bus visibly contends
+  const auto model = std::make_shared<mach::IdealOverlapModel>(p);
   RunOptions switched;
   RunOptions bus;
   bus.comm.network = msg::Network::kSharedBus;
-  EXPECT_LE(exec::run_plan(nest, plan, p, switched).seconds,
-            exec::run_plan(nest, plan, p, bus).seconds);
+  EXPECT_LE(exec::run_plan(nest, plan, model, switched).seconds,
+            exec::run_plan(nest, plan, model, bus).seconds);
 }
 
 TEST(ExecTimedTest, FunctionalModeAlsoRecordsTimeline) {
@@ -226,7 +236,7 @@ TEST(ExecTimedTest, FunctionalModeAlsoRecordsTimeline) {
   RunOptions opts;
   opts.functional = true;
   opts.sink = &tl;
-  const RunResult r = exec::run_plan(nest, plan, fast_params(), opts);
+  const RunResult r = exec::run_plan(nest, plan, fast_model(), opts);
   EXPECT_EQ(tl.makespan(), r.completion);
   EXPECT_GT(tl.phase_time(0, trace::Phase::kCompute), 0);
 }
@@ -245,7 +255,7 @@ TEST(ExecTimedTest, PipelinedTripletStructureMatchesExample2) {
   trace::Timeline tl;
   RunOptions opts;
   opts.sink = &tl;
-  exec::run_plan(nest, plan, mach::MachineParams::paper_cluster(), opts);
+  exec::run_plan(nest, plan, paper_model(), opts);
 
   std::vector<trace::Phase> cpu_seq;
   for (const trace::Interval& iv : tl.intervals()) {
@@ -285,7 +295,7 @@ TEST(ExecErrorTest, MismatchedDomainRejected) {
   const LoopNest nest_b = loop::stencil3d_nest(8, 8, 32);
   const TilePlan plan = exec::make_plan(nest_a, RectTiling(Vec{4, 4, 4}),
                                         ScheduleKind::kOverlap);
-  EXPECT_THROW(exec::run_plan(nest_b, plan, fast_params()), util::Error);
+  EXPECT_THROW(exec::run_plan(nest_b, plan, fast_model()), util::Error);
 }
 
 TEST(ExecErrorTest, FunctionalNeedsKernel) {
@@ -293,7 +303,7 @@ TEST(ExecErrorTest, FunctionalNeedsKernel) {
                       DependenceSet({Vec{1, 0}, Vec{0, 1}}));
   const TilePlan plan = exec::make_plan(bare, RectTiling(Vec{4, 4}),
                                         ScheduleKind::kOverlap);
-  EXPECT_THROW(exec::run_plan(bare, plan, fast_params(),
+  EXPECT_THROW(exec::run_plan(bare, plan, fast_model(),
                               functional_run()),
                util::Error);
 }
@@ -304,5 +314,5 @@ TEST(ExecErrorTest, OverlapPlanRejectsNoneLevel) {
                                         ScheduleKind::kOverlap);
   RunOptions opts;
   opts.comm.level = mach::OverlapLevel::kNone;
-  EXPECT_THROW(exec::run_plan(nest, plan, fast_params(), opts), util::Error);
+  EXPECT_THROW(exec::run_plan(nest, plan, fast_model(), opts), util::Error);
 }

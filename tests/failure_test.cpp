@@ -23,6 +23,10 @@ mach::MachineParams fast_params() {
   return p;
 }
 
+std::shared_ptr<const mach::Model> fast_model() {
+  return std::make_shared<mach::IdealOverlapModel>(fast_params());
+}
+
 }  // namespace
 
 class MessageLossTest
@@ -38,7 +42,7 @@ TEST_P(MessageLossTest, LostMessageIsDetectedAsStall) {
   exec::RunOptions opts;
   opts.faults.drop_message = which;  // lose an early or a late message
   try {
-    exec::run_plan(nest, plan, fast_params(), opts);
+    exec::run_plan(nest, plan, fast_model(), opts);
     FAIL() << "expected a stall diagnostic";
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find("stalled"), std::string::npos)
@@ -61,7 +65,7 @@ TEST(MessageLossTest, NoInjectionStillCompletes) {
       nest, tile::RectTiling(Vec{4, 4, 4}), ScheduleKind::kOverlap);
   exec::RunOptions opts;
   opts.faults.drop_message = -1;
-  EXPECT_NO_THROW(exec::run_plan(nest, plan, fast_params(), opts));
+  EXPECT_NO_THROW(exec::run_plan(nest, plan, fast_model(), opts));
 }
 
 TEST(MessageLossTest, DropBeyondTrafficIsHarmless) {
@@ -70,7 +74,7 @@ TEST(MessageLossTest, DropBeyondTrafficIsHarmless) {
       nest, tile::RectTiling(Vec{4, 4, 4}), ScheduleKind::kOverlap);
   exec::RunOptions opts;
   opts.faults.drop_message = 1'000'000;  // more than the run ever sends
-  EXPECT_NO_THROW(exec::run_plan(nest, plan, fast_params(), opts));
+  EXPECT_NO_THROW(exec::run_plan(nest, plan, fast_model(), opts));
 }
 
 TEST(MessageLossTest, SenderOfLostMessageStillProgresses) {
@@ -83,7 +87,7 @@ TEST(MessageLossTest, SenderOfLostMessageStillProgresses) {
   exec::RunOptions opts;
   opts.faults.drop_message = 3;
   try {
-    exec::run_plan(nest, plan, fast_params(), opts);
+    exec::run_plan(nest, plan, fast_model(), opts);
     FAIL() << "expected a stall diagnostic";
   } catch (const util::Error& e) {
     const std::string what = e.what();

@@ -31,6 +31,10 @@ mach::MachineParams tiny_params() {
   return p;
 }
 
+std::shared_ptr<const mach::Model> tiny_model() {
+  return std::make_shared<mach::IdealOverlapModel>(tiny_params());
+}
+
 LoopNest stencil4d() {
   return LoopNest(
       "stencil4d", Box::from_extents(Vec{6, 6, 6, 20}),
@@ -47,7 +51,7 @@ TEST(HighDimTest, FourDimensionalFunctionalBothSchedules) {
     const exec::TilePlan plan = exec::make_plan_explicit(
         nest, RectTiling(Vec{3, 3, 3, 5}), kind, 3, Vec{2, 2, 2, 1});
     EXPECT_EQ(plan.mapping.num_ranks(), 8);
-    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, tiny_params()), 0.0)
+    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, tiny_model()), 0.0)
         << "kind " << static_cast<int>(kind);
   }
 }
@@ -104,9 +108,9 @@ TEST(HighDimTest, OneDimensionalDegenerateChain) {
         exec::make_plan(nest, RectTiling(Vec{8}), kind);
     EXPECT_EQ(plan.mapping.num_ranks(), 1);
     const exec::RunResult r =
-        exec::run_plan(nest, plan, tiny_params(), functional);
+        exec::run_plan(nest, plan, tiny_model(), functional);
     EXPECT_EQ(r.messages, 0);
-    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, tiny_params()),
+    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, tiny_model()),
                      0.0);
   }
 }

@@ -11,7 +11,6 @@
 
 #include "tilo/core/analytic.hpp"
 #include "tilo/core/sweep.hpp"
-#include "tilo/exec/run.hpp"
 #include "tilo/fleet/unit.hpp"
 #include "tilo/machine/model.hpp"
 #include "tilo/pipeline/compiler.hpp"
@@ -47,27 +46,6 @@ void expect_points_identical(const std::vector<core::SweepPoint>& a,
 }
 
 }  // namespace
-
-TEST(ModelRegressionTest, RunPlanForwardsShimBitIdentically) {
-  const core::Problem p = core::paper_problem_i();
-  pipeline::CompileOptions opts;
-  opts.machine = p.machine;
-  opts.procs = p.procs;
-  opts.height = 64;
-  opts.simulate = false;
-  const pipeline::ArtifactStore out =
-      pipeline::Compiler(opts).compile_nest(p.nest);
-  const exec::TilePlan& plan = *out.plan().plan;
-
-  const exec::RunResult via_params = exec::run_plan(p.nest, plan, p.machine);
-  const exec::RunResult via_model = exec::run_plan(
-      p.nest, plan, std::make_shared<mach::IdealOverlapModel>(p.machine));
-  EXPECT_EQ(via_model.seconds, via_params.seconds);
-  EXPECT_EQ(via_model.completion, via_params.completion);
-  EXPECT_EQ(via_model.messages, via_params.messages);
-  EXPECT_EQ(via_model.bytes, via_params.bytes);
-  EXPECT_EQ(via_model.events, via_params.events);
-}
 
 TEST(ModelRegressionTest, SweepUnderIdealModelIsByteIdentical) {
   const core::Problem null_model = core::paper_problem_i();
@@ -118,13 +96,13 @@ TEST(ModelRegressionTest, SvcResponseUnderIdealModelIsByteIdentical) {
   params.height = 32;
   params.simulate = true;
 
-  pipeline::CompileOptions null_base;
+  pipeline::CompileOptions default_base;
   pipeline::CompileOptions model_base;
   model_base.model = std::make_shared<mach::IdealOverlapModel>(
-      model_base.machine);
+      mach::MachineParams::paper_cluster());
 
   const svc::Response a = svc::execute_compile(model_base, params);
-  const svc::Response b = svc::execute_compile(null_base, params);
+  const svc::Response b = svc::execute_compile(default_base, params);
   ASSERT_EQ(a.status, svc::RespStatus::kOk) << a.error;
   ASSERT_EQ(b.status, svc::RespStatus::kOk) << b.error;
   EXPECT_EQ(a.result, b.result);  // the exact serialized bytes
@@ -132,7 +110,7 @@ TEST(ModelRegressionTest, SvcResponseUnderIdealModelIsByteIdentical) {
   // Requesting the model by name over the wire keeps the bytes too.
   svc::CompileParams named = params;
   named.model = "ideal";
-  const svc::Response c = svc::execute_compile(null_base, named);
+  const svc::Response c = svc::execute_compile(default_base, named);
   ASSERT_EQ(c.status, svc::RespStatus::kOk) << c.error;
   EXPECT_EQ(c.result, b.result);
 }
@@ -147,6 +125,21 @@ TEST(ModelRegressionTest, UnknownModelNameAnswersBadRequest) {
   EXPECT_EQ(resp.status, svc::RespStatus::kBadRequest);
   EXPECT_NE(resp.error.find("warp-drive"), std::string::npos) << resp.error;
   EXPECT_NE(resp.error.find("ideal"), std::string::npos) << resp.error;
+}
+
+TEST(ModelRegressionTest, NullBaseModelIsAnErrorEvenForANamedModel) {
+  // A named model is built over the base model's machine; a null base is
+  // rejected by the compile, never dereferenced first.
+  svc::CompileParams params;
+  params.name = "null";
+  params.source = "FOR i = 0 TO 7\n A(i) = A(i-1)\nENDFOR\n";
+  params.model = "interference";
+  pipeline::CompileOptions base;
+  base.model = nullptr;
+  const svc::Response resp = svc::execute_compile(base, params);
+  EXPECT_EQ(resp.status, svc::RespStatus::kError);
+  EXPECT_NE(resp.error.find("machine model"), std::string::npos)
+      << resp.error;
 }
 
 TEST(ModelRegressionTest, FleetSweepDocumentUnderIdealModelIsByteIdentical) {

@@ -40,6 +40,10 @@ mach::MachineParams round_params() {
   return p;
 }
 
+std::shared_ptr<const mach::Model> round_model() {
+  return std::make_shared<mach::IdealOverlapModel>(round_params());
+}
+
 /// The tiny 2-rank workload: a 4x2x4 stencil cut into 2x2x2 tiles, two
 /// tile columns mapped to two ranks (two tiles per rank, two messages
 /// rank 0 -> rank 1).
@@ -180,7 +184,7 @@ TEST(ChromeTraceTest, TinyTwoRankRunMatchesGolden) {
   obs::ChromeTraceSink chrome;
   exec::RunOptions opts;
   opts.sink = &chrome;
-  exec::run_plan(nest, plan, round_params(), opts);
+  exec::run_plan(nest, plan, round_model(), opts);
   EXPECT_EQ(chrome.size(), 20u);
   std::ostringstream os;
   chrome.write(os);
@@ -226,6 +230,8 @@ TEST(JsonlSinkTest, EmitsOneObjectPerLine) {
 
 TEST(RunReportTest, MakespanReconcilesWithRunResultWithinOneUlp) {
   const core::Problem problem = core::paper_problem_i();
+  const auto model =
+      std::make_shared<mach::IdealOverlapModel>(problem.machine);
   for (const ScheduleKind kind :
        {ScheduleKind::kOverlap, ScheduleKind::kNonOverlap}) {
     const exec::TilePlan plan = problem.plan(444, kind);
@@ -233,7 +239,7 @@ TEST(RunReportTest, MakespanReconcilesWithRunResultWithinOneUlp) {
     exec::RunOptions opts;
     opts.sink = &sink;
     const exec::RunResult r =
-        exec::run_plan(problem.nest, plan, problem.machine, opts);
+        exec::run_plan(problem.nest, plan, model, opts);
     const obs::RunReport rep = sink.report();
 
     // The last span to end IS the completion event, so the integer-ns
@@ -259,11 +265,13 @@ TEST(RunReportTest, OverlapRunCpuPlusBlockedPartitionsEachRank) {
   // (The blocking executor spends CPU inside blocking sends without a
   // span, so the identity is specific to the overlap program.)
   const core::Problem problem = core::paper_problem_iii();
+  const auto model =
+      std::make_shared<mach::IdealOverlapModel>(problem.machine);
   const exec::TilePlan plan = problem.plan(64, ScheduleKind::kOverlap);
   obs::ReportSink sink;
   exec::RunOptions opts;
   opts.sink = &sink;
-  exec::run_plan(problem.nest, plan, problem.machine, opts);
+  exec::run_plan(problem.nest, plan, model, opts);
   const obs::RunReport rep = sink.report();
   ASSERT_FALSE(rep.ranks.empty());
   for (const obs::RankBreakdown& r : rep.ranks)
@@ -276,7 +284,7 @@ TEST(RunReportTest, WriteOutputsContainSummary) {
   exec::RunOptions opts;
   opts.sink = &sink;
   exec::run_plan(nest, tiny_plan(nest, ScheduleKind::kOverlap),
-                 round_params(), opts);
+                 round_model(), opts);
   const obs::RunReport rep = sink.report();
   std::ostringstream table;
   rep.write_table(table);
@@ -293,11 +301,13 @@ TEST(SinkDeterminismTest, EnablingSinksNeverChangesTheRun) {
   // completion time, event count and message count — is identical with no
   // sink, with one sink, and with a fan-out of every sink type.
   const core::Problem problem = core::paper_problem_i();
+  const auto model =
+      std::make_shared<mach::IdealOverlapModel>(problem.machine);
   for (const ScheduleKind kind :
        {ScheduleKind::kOverlap, ScheduleKind::kNonOverlap}) {
     const exec::TilePlan plan = problem.plan(444, kind);
     const exec::RunResult bare =
-        exec::run_plan(problem.nest, plan, problem.machine);
+        exec::run_plan(problem.nest, plan, model);
 
     obs::Registry reg;
     obs::ChromeTraceSink chrome;
@@ -315,7 +325,7 @@ TEST(SinkDeterminismTest, EnablingSinksNeverChangesTheRun) {
     exec::RunOptions opts;
     opts.sink = &fan;
     const exec::RunResult observed =
-        exec::run_plan(problem.nest, plan, problem.machine, opts);
+        exec::run_plan(problem.nest, plan, model, opts);
 
     EXPECT_EQ(bare.completion, observed.completion);
     EXPECT_EQ(bare.events, observed.events);
@@ -348,7 +358,7 @@ TEST(SinkDeterminismTest, ChromeTraceByteIdenticalAcrossRuns) {
     obs::ChromeTraceSink chrome;
     exec::RunOptions opts;
     opts.sink = &chrome;
-    exec::run_plan(nest, plan, round_params(), opts);
+    exec::run_plan(nest, plan, round_model(), opts);
     std::ostringstream os;
     chrome.write(os);
     if (i == 0)
@@ -367,7 +377,7 @@ TEST(TimelineSinkTest, RecordsViaRunOptions) {
   trace::Timeline tl;
   exec::RunOptions opts;
   opts.sink = &tl;
-  const exec::RunResult r = exec::run_plan(nest, plan, round_params(), opts);
+  const exec::RunResult r = exec::run_plan(nest, plan, round_model(), opts);
   EXPECT_EQ(r.completion, 135000);
   EXPECT_EQ(tl.intervals().size(), 20u);
 }

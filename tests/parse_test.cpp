@@ -233,11 +233,12 @@ TEST(ParseFuzzTest, TruncationsOfAValidProgramAllThrow) {
 
 TEST(ParseTest, ParsedProgramRunsDistributedOnBothSchedules) {
   const LoopNest nest = parse_nest(kPaperStencil3d);
-  const mach::MachineParams m = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   for (auto kind : {sched::ScheduleKind::kNonOverlap,
                     sched::ScheduleKind::kOverlap}) {
     const exec::TilePlan plan =
         exec::make_plan(nest, tile::RectTiling(Vec{4, 4, 8}), kind);
-    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, m), 0.0);
+    EXPECT_DOUBLE_EQ(exec::run_and_validate(nest, plan, model), 0.0);
   }
 }

@@ -26,16 +26,23 @@ std::vector<core::Problem> paper_problems() {
           core::paper_problem_iii()};
 }
 
+/// The ideal model over a problem's machine (the paper problems carry no
+/// model of their own).
+std::shared_ptr<const mach::Model> ideal_model(const core::Problem& p) {
+  return std::make_shared<mach::IdealOverlapModel>(p.machine);
+}
+
 TEST(PipelineSerialize, PlanRoundTripIsByteIdentical) {
   for (const core::Problem& problem : paper_problems()) {
     for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
       const exec::TilePlan plan = problem.plan(64, kind);
       const std::string once =
-          pipeline::plan_to_json(problem.nest, problem.machine, plan).dump();
+          pipeline::plan_to_json(problem.nest, plan, *ideal_model(problem))
+              .dump();
       const pipeline::PlanBundle bundle =
           pipeline::plan_from_json(pipeline::Json::parse(once));
       const std::string twice =
-          pipeline::plan_to_json(bundle.nest, bundle.machine, bundle.plan)
+          pipeline::plan_to_json(bundle.nest, bundle.plan, *bundle.model)
               .dump();
       EXPECT_EQ(once, twice) << problem.nest.name();
     }
@@ -45,13 +52,13 @@ TEST(PipelineSerialize, PlanRoundTripIsByteIdentical) {
 TEST(PipelineSerialize, DeserializedPlanReplaysBitIdentically) {
   for (const core::Problem& problem : paper_problems()) {
     const exec::TilePlan plan = problem.plan(64, ScheduleKind::kOverlap);
+    const std::shared_ptr<const mach::Model> model = ideal_model(problem);
     const exec::RunResult reference =
-        exec::run_plan(problem.nest, plan, problem.machine);
+        exec::run_plan(problem.nest, plan, model);
 
     const pipeline::PlanBundle bundle = pipeline::plan_from_json(
         pipeline::Json::parse(
-            pipeline::plan_to_json(problem.nest, problem.machine, plan)
-                .dump()));
+            pipeline::plan_to_json(problem.nest, plan, *model).dump()));
     const pipeline::ArtifactStore out = pipeline::Compiler().replay(
         bundle.nest, bundle.model, bundle.plan);
     ASSERT_TRUE(out.backend().run.has_value());
@@ -74,8 +81,8 @@ TEST(PipelineSerialize, InterferenceModelPlanReplaysUnderItsOwnModel) {
       pipeline::Compiler(opts).compile_nest(seed.nest);
   const core::Problem& problem = compiled.analysis().problem;
   const exec::TilePlan& plan = *compiled.plan().plan;
-  const pipeline::Json doc = pipeline::plan_to_json(
-      problem.nest, problem.machine, plan, problem.model.get());
+  const pipeline::Json doc =
+      pipeline::plan_to_json(problem.nest, plan, *problem.model);
   ASSERT_NE(doc.find("machine_model"), nullptr);
 
   const pipeline::PlanBundle bundle =
@@ -91,17 +98,16 @@ TEST(PipelineSerialize, InterferenceModelPlanReplaysUnderItsOwnModel) {
   // The model is what moves the time: the ideal model over the same
   // machine replays this plan faster.
   const pipeline::ArtifactStore ideal = pipeline::Compiler().replay(
-      bundle.nest, std::make_shared<mach::IdealOverlapModel>(bundle.machine),
-      bundle.plan);
+      bundle.nest, ideal_model(problem), bundle.plan);
   EXPECT_LT(ideal.backend().run->seconds, compiled.backend().run->seconds);
 
-  // An ideal model writes no envelope, so ideal plans keep their bytes.
-  const mach::IdealOverlapModel ideal_model(problem.machine);
-  EXPECT_EQ(pipeline::plan_to_json(problem.nest, problem.machine, plan,
-                                   &ideal_model)
-                .dump(),
-            pipeline::plan_to_json(problem.nest, problem.machine, plan)
-                .dump());
+  // An ideal model writes "machine" alone, no envelope, so ideal plans
+  // keep their bytes.
+  const pipeline::Json ideal_doc =
+      pipeline::plan_to_json(problem.nest, plan, *ideal_model(problem));
+  EXPECT_EQ(ideal_doc.find("machine_model"), nullptr);
+  EXPECT_EQ(ideal_doc.at("machine").dump(),
+            pipeline::machine_to_json(problem.machine).dump());
 }
 
 TEST(PipelineSerialize, BundleCarriesTheKernelForFunctionalReplay) {
@@ -109,7 +115,7 @@ TEST(PipelineSerialize, BundleCarriesTheKernelForFunctionalReplay) {
   const exec::TilePlan plan = problem.plan(64, ScheduleKind::kOverlap);
   const pipeline::PlanBundle bundle = pipeline::plan_from_json(
       pipeline::Json::parse(
-          pipeline::plan_to_json(problem.nest, problem.machine, plan)
+          pipeline::plan_to_json(problem.nest, plan, *ideal_model(problem))
               .dump()));
   // The source text rode along, so the reloaded nest still has its body.
   ASSERT_TRUE(bundle.nest.has_kernel());
@@ -132,7 +138,7 @@ TEST(PipelineSerialize, MachineRoundTripIsByteIdentical) {
 TEST(PipelineSerialize, RecommendationRoundTripIsByteIdentical) {
   const core::Problem seed = core::paper_problem_iii();
   const core::Recommendation rec =
-      core::recommend_plan(seed.nest, seed.machine, 16);
+      core::recommend_plan(seed.nest, ideal_model(seed), 16);
   const std::string once = pipeline::recommendation_to_json(rec).dump();
   const core::Recommendation back =
       pipeline::recommendation_from_json(pipeline::Json::parse(once));
@@ -161,9 +167,10 @@ TEST(PipelineSerialize, RejectsWrongDocumentType) {
 
 TEST(PipelineSerialize, RejectsUnsupportedSchemaVersion) {
   const core::Problem problem = core::paper_problem_iii();
-  pipeline::Json j = pipeline::plan_to_json(
-      problem.nest, problem.machine,
-      problem.plan(64, ScheduleKind::kOverlap));
+  pipeline::Json j =
+      pipeline::plan_to_json(problem.nest,
+                             problem.plan(64, ScheduleKind::kOverlap),
+                             *ideal_model(problem));
   j.set("version", pipeline::Json::integer(99));
   try {
     pipeline::plan_from_json(j);

@@ -10,6 +10,7 @@
 #include "tilo/loopnest/parse.hpp"
 #include "tilo/obs/chrome_trace.hpp"
 #include "tilo/pipeline/compiler.hpp"
+#include "tilo/pipeline/serialize.hpp"
 #include "tilo/util/error.hpp"
 
 namespace {
@@ -213,17 +214,26 @@ TEST(PipelineCompiler, CompileSourceProducesEveryArtifact) {
   const core::Problem& problem = out.analysis().problem;
   const exec::TilePlan direct = problem.plan(64, ScheduleKind::kOverlap);
   const exec::RunResult reference =
-      exec::run_plan(problem.nest, direct, problem.machine);
+      exec::run_plan(problem.nest, direct, problem.model);
   EXPECT_EQ(out.backend().run->completion, reference.completion);
+}
+
+TEST(PipelineCompiler, NullModelIsRejected) {
+  pipeline::CompileOptions opts;
+  opts.model = nullptr;
+  opts.procs = lat::Vec{4, 4, 1};
+  expect_error_containing(
+      [&] { pipeline::Compiler(opts).compile_source("demo", kDemoSource); },
+      "machine model");
 }
 
 TEST(PipelineCompiler, MatchesRecommendPlan) {
   const loop::LoopNest nest = loop::parse_nest(kDemoSource);
-  const mach::MachineParams machine = mach::MachineParams::paper_cluster();
-  const core::Recommendation rec = core::recommend_plan(nest, machine, 16);
+  const std::shared_ptr<const mach::Model> model = paper_model();
+  const core::Recommendation rec = core::recommend_plan(nest, model, 16);
 
   pipeline::CompileOptions opts;
-  opts.machine = machine;
+  opts.model = model;
   opts.auto_procs = i64{16};
   opts.simulate = false;
   const pipeline::ArtifactStore out =
@@ -292,6 +302,35 @@ TEST(PipelineScenario, OneInvocationCompilesThreeWorkloadsWithSpans) {
        {"pipeline.Frontend [wl_overlap]", "pipeline.Lowering [wl_overlap]",
         "pipeline.Backend [wl_nonoverlap]", "pipeline.Analysis [wl_auto]"})
     EXPECT_NE(trace.find(span), std::string::npos) << span;
+}
+
+TEST(PipelineScenario, FileMachineWinsOverTheCompilersModel) {
+  // A scenario that names only a bare "machine" (10x slower compute than
+  // the paper cluster) compiles on that machine, whatever model the
+  // compiler itself was given.
+  mach::MachineParams slow = mach::MachineParams::paper_cluster();
+  slow.t_c *= 10;
+  const pipeline::ScenarioFile scenario = pipeline::parse_scenario(
+      std::string(R"({"tilo": "scenario", "version": 1, "machine": )") +
+      pipeline::machine_to_json(slow).dump() +
+      R"(, "workloads": [{"name": "wl", "source": )" +
+      pipeline::Json::string(kDemoSource).dump() +
+      R"(, "procs": [4, 4, 1], "height": 64}]})");
+
+  pipeline::CompileOptions interference;
+  interference.model = std::make_shared<mach::InterferenceModel>(
+      mach::MachineParams::paper_cluster(),
+      mach::InterferenceConfig{0.5, 0.9, 8192, 1.5});
+  const std::vector<pipeline::ArtifactStore> a =
+      pipeline::Compiler(interference).compile(scenario);
+  const std::vector<pipeline::ArtifactStore> b =
+      pipeline::Compiler().compile(scenario);
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(a[0].analysis().problem.machine.t_c, slow.t_c);
+  EXPECT_EQ(a[0].plan().predicted_seconds, b[0].plan().predicted_seconds);
+  EXPECT_EQ(a[0].backend().run->completion, b[0].backend().run->completion);
+  EXPECT_EQ(a[0].backend().run->events, b[0].backend().run->events);
 }
 
 TEST(PipelineScenario, WorkloadErrorsNameTheWorkloadAndStage) {

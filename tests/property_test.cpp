@@ -38,6 +38,10 @@ mach::MachineParams tiny_params() {
   return p;
 }
 
+std::shared_ptr<const mach::Model> tiny_model() {
+  return std::make_shared<mach::IdealOverlapModel>(tiny_params());
+}
+
 /// Draws a random nest plus a random legal tiling and processor grid.
 struct RandomCase {
   LoopNest nest;
@@ -85,7 +89,7 @@ TEST_P(DistributedEqualsSequential, BothSchedules) {
   for (auto kind : {ScheduleKind::kNonOverlap, ScheduleKind::kOverlap}) {
     const exec::TilePlan plan = exec::make_plan_explicit(
         c.nest, RectTiling(c.sides), kind, c.mapped, c.procs);
-    const double err = exec::run_and_validate(c.nest, plan, tiny_params());
+    const double err = exec::run_and_validate(c.nest, plan, tiny_model());
     EXPECT_DOUBLE_EQ(err, 0.0)
         << "seed " << seed << " dims " << dims << " sides " << c.sides.str()
         << " procs " << c.procs.str() << " mapped " << c.mapped << " deps "
@@ -167,7 +171,7 @@ TEST_P(SchedulePropertiesTest, ExecutorSendsExactlyTheGeometricMessages) {
       expect_bytes += out.points * tiny_params().bytes_per_element;
     }
   });
-  const exec::RunResult r = exec::run_plan(c.nest, plan, tiny_params());
+  const exec::RunResult r = exec::run_plan(c.nest, plan, tiny_model());
   EXPECT_EQ(r.messages, expect_messages);
   EXPECT_EQ(r.bytes, expect_bytes);
 }
@@ -180,9 +184,9 @@ TEST_P(SchedulePropertiesTest, CpuBoundPredictionTracksSimulation) {
                         mach::MachineParams::paper_cluster(),
                         Vec{4, 4, 1}, nullptr};
   const exec::TilePlan plan = p.plan(V, ScheduleKind::kOverlap);
-  const double predicted =
-      core::predict_completion(plan, mach::IdealOverlapModel(p.machine));
-  const double simulated = exec::run_plan(p.nest, plan, p.machine).seconds;
+  const auto model = std::make_shared<mach::IdealOverlapModel>(p.machine);
+  const double predicted = core::predict_completion(plan, *model);
+  const double simulated = exec::run_plan(p.nest, plan, model).seconds;
   EXPECT_NEAR(simulated, predicted, 0.15 * predicted) << "V = " << V;
 }
 
@@ -207,13 +211,14 @@ TEST_P(TimingMonotonicityTest, OverlapNeverLosesOnStencil) {
   const int v_shift = GetParam();
   const i64 V = i64{4} << v_shift;
   const LoopNest nest = loop::stencil3d_nest(8, 8, 128);
-  const mach::MachineParams p = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   const auto over = exec::make_plan(nest, RectTiling(Vec{4, 4, V}),
                                     ScheduleKind::kOverlap);
   const auto non = exec::make_plan(nest, RectTiling(Vec{4, 4, V}),
                                    ScheduleKind::kNonOverlap);
-  EXPECT_LT(exec::run_plan(nest, over, p).seconds,
-            exec::run_plan(nest, non, p).seconds)
+  EXPECT_LT(exec::run_plan(nest, over, model).seconds,
+            exec::run_plan(nest, non, model).seconds)
       << "V = " << V;
 }
 

@@ -28,6 +28,15 @@ MachineParams round_params() {
   return p;
 }
 
+std::shared_ptr<const mach::Model> round_model() {
+  return std::make_shared<mach::IdealOverlapModel>(round_params());
+}
+
+std::shared_ptr<const mach::Model> paper_model() {
+  return std::make_shared<mach::IdealOverlapModel>(
+      MachineParams::paper_cluster());
+}
+
 constexpr Time kUs = 1000;
 
 }  // namespace
@@ -38,7 +47,7 @@ TEST(RendezvousTest, PostedReceiveGrantsAfterOneRoundTrip) {
   // latency; receiver leg B1+B2 = 70 us -> kernel-ready at 155 us
   // (eager would be 145 us: one extra round trip minus the overlap of...
   // exactly 2*latency later on the send start).
-  Cluster c(2, round_params(), mach::OverlapLevel::kDma,
+  Cluster c(2, round_model(), mach::OverlapLevel::kDma,
             msg::Network::kSwitched, nullptr, Protocol::kRendezvous);
   Time ready = -1;
   auto h = c.node(1).irecv(0, 1);
@@ -51,7 +60,7 @@ TEST(RendezvousTest, PostedReceiveGrantsAfterOneRoundTrip) {
 TEST(RendezvousTest, UnpostedReceiveParksTheSender) {
   // RTS arrives at 5 us but the recv is posted at t = 100 us: CTS leaves
   // then, pipeline starts at 105 us.
-  Cluster c(2, round_params(), mach::OverlapLevel::kDma,
+  Cluster c(2, round_model(), mach::OverlapLevel::kDma,
             msg::Network::kSwitched, nullptr, Protocol::kRendezvous);
   Time ready = -1;
   c.engine().at(0, [&] { c.node(0).isend(1, 1, 100); });
@@ -64,7 +73,7 @@ TEST(RendezvousTest, UnpostedReceiveParksTheSender) {
 }
 
 TEST(RendezvousTest, SendDoneWaitsForHandshake) {
-  Cluster c(2, round_params(), mach::OverlapLevel::kDma,
+  Cluster c(2, round_model(), mach::OverlapLevel::kDma,
             msg::Network::kSwitched, nullptr, Protocol::kRendezvous);
   Time done = -1;
   c.node(1).irecv(0, 1);
@@ -77,7 +86,7 @@ TEST(RendezvousTest, SendDoneWaitsForHandshake) {
 }
 
 TEST(RendezvousTest, TwoSendersFifoPerKey) {
-  Cluster c(2, round_params(), mach::OverlapLevel::kDma,
+  Cluster c(2, round_model(), mach::OverlapLevel::kDma,
             msg::Network::kSwitched, nullptr, Protocol::kRendezvous);
   auto p1 = std::make_shared<std::vector<double>>(std::vector<double>{1.0});
   auto p2 = std::make_shared<std::vector<double>>(std::vector<double>{2.0});
@@ -111,7 +120,7 @@ TEST(RendezvousTest, ExecutorStillComputesCorrectly) {
   opts.functional = true;
   opts.comm.protocol = Protocol::kRendezvous;
   const exec::RunResult run =
-      exec::run_plan(nest, plan, round_params(), opts);
+      exec::run_plan(nest, plan, round_model(), opts);
   const loop::DenseField ref = loop::run_sequential(nest);
   EXPECT_DOUBLE_EQ(loop::max_abs_diff(*run.field, ref), 0.0);
 }
@@ -125,12 +134,12 @@ TEST(RendezvousTest, CommBoundRunsPayTheHandshake) {
   const exec::TilePlan plan = exec::make_plan(
       nest, tile::RectTiling(lat::Vec{4, 4, 8}),
       sched::ScheduleKind::kOverlap);
-  mach::MachineParams p = mach::MachineParams::paper_cluster();
+  const auto model = paper_model();
   exec::RunOptions eager;
   exec::RunOptions rdv;
   rdv.comm.protocol = Protocol::kRendezvous;
-  const double t_eager = exec::run_plan(nest, plan, p, eager).seconds;
-  const double t_rdv = exec::run_plan(nest, plan, p, rdv).seconds;
+  const double t_eager = exec::run_plan(nest, plan, model, eager).seconds;
+  const double t_rdv = exec::run_plan(nest, plan, model, rdv).seconds;
   EXPECT_GT(t_rdv, t_eager);
   EXPECT_LT(t_rdv, 1.6 * t_eager);  // but bounded
 }
@@ -141,7 +150,7 @@ TEST(RendezvousTest, OverheadShrinksWithGrain) {
   // the tile grain (steps' compute share) grows — the same grain argument
   // the paper makes for the startup costs.
   const loop::LoopNest nest = loop::stencil3d_nest(8, 8, 1024);
-  mach::MachineParams p = mach::MachineParams::paper_cluster();
+  const auto model = paper_model();
   auto overhead = [&](util::i64 V) {
     const exec::TilePlan plan = exec::make_plan(
         nest, tile::RectTiling(lat::Vec{4, 4, V}),
@@ -149,8 +158,8 @@ TEST(RendezvousTest, OverheadShrinksWithGrain) {
     exec::RunOptions eager;
     exec::RunOptions rdv;
     rdv.comm.protocol = Protocol::kRendezvous;
-    const double t_eager = exec::run_plan(nest, plan, p, eager).seconds;
-    const double t_rdv = exec::run_plan(nest, plan, p, rdv).seconds;
+    const double t_eager = exec::run_plan(nest, plan, model, eager).seconds;
+    const double t_rdv = exec::run_plan(nest, plan, model, rdv).seconds;
     return (t_rdv - t_eager) / t_eager;
   };
   const double small_grain = overhead(8);

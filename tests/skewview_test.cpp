@@ -32,6 +32,10 @@ mach::MachineParams tiny_params() {
   return p;
 }
 
+std::shared_ptr<const mach::Model> tiny_model() {
+  return std::make_shared<mach::IdealOverlapModel>(tiny_params());
+}
+
 /// A wavefront (SOR-like) nest: deps {(1,-1), (1,0), (1,1)}.
 LoopNest wavefront_nest(i64 n0, i64 n1) {
   return LoopNest("wavefront", Box::from_extents(Vec{n0, n1}),
@@ -85,7 +89,7 @@ TEST(SkewViewTest, DistributedWavefrontBothSchedules) {
         exec::make_plan(view, tile::RectTiling(sides), kind);
     exec::RunOptions opts;
     opts.functional = true;
-    const exec::RunResult run = exec::run_plan(view, plan, tiny_params(),
+    const exec::RunResult run = exec::run_plan(view, plan, tiny_model(),
                                                opts);
     // The distributed skewed result, mapped back, equals the direct
     // sequential execution of the original wavefront nest.
@@ -132,7 +136,7 @@ TEST_P(SkewPipelineTest, RandomNegativeDepsEndToEnd) {
   exec::RunOptions ropts;
   ropts.functional = true;
   const exec::RunResult run =
-      exec::run_plan(view, plan, tiny_params(), ropts);
+      exec::run_plan(view, plan, tiny_model(), ropts);
   const loop::DenseField mapped =
       loop::unskew_field(*run.field, *skew, nest.domain());
   EXPECT_DOUBLE_EQ(

@@ -50,7 +50,8 @@ TEST(StatsTest, OverlapScheduleRaisesComputeUtilization) {
   // The paper's Section 4 argument, measured: at the same grain the
   // pipelined schedule computes a strictly larger share of the makespan.
   const loop::LoopNest nest = loop::stencil3d_nest(8, 8, 512);
-  const mach::MachineParams p = mach::MachineParams::paper_cluster();
+  const auto model = std::make_shared<mach::IdealOverlapModel>(
+      mach::MachineParams::paper_cluster());
   double util[2] = {0, 0};
   for (int i = 0; i < 2; ++i) {
     const auto kind = i == 0 ? sched::ScheduleKind::kNonOverlap
@@ -60,7 +61,7 @@ TEST(StatsTest, OverlapScheduleRaisesComputeUtilization) {
     obs::ReportSink sink;
     exec::RunOptions opts;
     opts.sink = &sink;
-    exec::run_plan(nest, plan, p, opts);
+    exec::run_plan(nest, plan, model, opts);
     util[i] = sink.report().mean_compute_utilization;
   }
   EXPECT_GT(util[1], util[0]);
@@ -74,7 +75,10 @@ TEST(StatsTest, CpuBusyNeverExceedsMakespan) {
   obs::ReportSink sink;
   exec::RunOptions opts;
   opts.sink = &sink;
-  exec::run_plan(nest, plan, mach::MachineParams::paper_cluster(), opts);
+  exec::run_plan(nest, plan,
+                 std::make_shared<mach::IdealOverlapModel>(
+                     mach::MachineParams::paper_cluster()),
+                 opts);
   const obs::RunReport s = sink.report();
   ASSERT_FALSE(s.ranks.empty());
   for (const obs::RankBreakdown& r : s.ranks)
